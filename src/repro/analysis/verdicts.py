@@ -245,15 +245,15 @@ class CastVerdictIndex:
             findings=findings,
         )
 
+    def step_demotion(self, step) -> int:
+        """Ranking bucket of one step: 0 unless it is an INVIABLE downcast."""
+        if not step.is_downcast:
+            return 0
+        return demotion_of(self.verdict_for_cast(step.input_type, step.output_type).verdict)
+
     def demotion_rank(self, jungloid: Jungloid) -> int:
         """Ranking bucket: 0 unless some downcast step is INVIABLE."""
-        rank = 0
-        for step in jungloid.steps:
-            if not step.is_downcast:
-                continue
-            finding = self.verdict_for_cast(step.input_type, step.output_type)
-            rank = max(rank, demotion_of(finding.verdict))
-        return rank
+        return max(self.step_demotion(step) for step in jungloid.steps)
 
     # ------------------------------------------------------------------
     # Persistence (snapshot schema v3 carries this dict in the header)

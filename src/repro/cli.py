@@ -33,7 +33,6 @@ from .apispec import ApiSpecError, load_api_files
 from .core import CursorContext, Prospector
 from .corpus import CorpusLoadError, load_corpus_files
 from .data import corpus_texts, standard_corpus, standard_registry
-from .eval import classify_stuck_cases, run_prototype_test, run_table1, simulate_user_study
 from .graph import BundleFormatError, bundle_to_json, graph_stats
 from .minijava import MiniJavaError
 from .store import (
@@ -220,6 +219,8 @@ def _cmd_complete(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from .eval import run_table1
+
     prospector = _build_prospector(args)
     report = run_table1(prospector)
     print(report.format_table())
@@ -251,12 +252,16 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_userstudy(args: argparse.Namespace) -> int:
+    from .eval import simulate_user_study
+
     result = simulate_user_study(seed=args.seed)
     print(result.format_report())
     return 0
 
 
 def _cmd_informal(args: argparse.Namespace) -> int:
+    from .eval import classify_stuck_cases, run_prototype_test
+
     print(classify_stuck_cases().format_report())
     print()
     print(run_prototype_test(_build_prospector(args)).format_report())

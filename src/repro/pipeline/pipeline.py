@@ -98,6 +98,11 @@ class _RecordingCallGraph:
         return self.inner.call_sites_in(decl)
 
 
+def _same_units(a: Sequence[CompilationUnit], b: Sequence[CompilationUnit]) -> bool:
+    """Are ``a`` and ``b`` the very same unit objects, in order?"""
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
 def _collect_named(t, out: Set[str]) -> None:
     while isinstance(t, ArrayType):
         t = t.element
@@ -337,13 +342,13 @@ class CorpusPipeline:
             check=program.check_report is not None,
             public_only=public_only,
         )
-        # Seed the parse cache with the program's already-parsed units so
-        # the initial sync only re-resolves (idempotent) and mines.
+        # Seed the parse cache with the program's already-parsed units, and
+        # hand over its resolution, so the initial sync only mines.
         fps = fingerprint_texts(program.texts)
         for unit in program.units:
             if unit.source in fps:
                 pipeline._parse_cache[unit.source] = (fps[unit.source], unit, None)
-        pipeline.sync(program.texts)
+        pipeline.sync(program.texts, resolved=program)
         return pipeline
 
     @classmethod
@@ -453,13 +458,22 @@ class CorpusPipeline:
                 pending.pop(source)
         return self.sync(texts)
 
-    def sync(self, texts: Iterable[Tuple[str, str]]) -> PipelineUpdateStats:
+    def sync(
+        self,
+        texts: Iterable[Tuple[str, str]],
+        resolved: Optional[CorpusProgram] = None,
+    ) -> PipelineUpdateStats:
         """Make the pipeline's outputs match ``texts``, incrementally.
 
         Stages 1–4 work on staging structures; the trie/graph/attribute
         commits at the end only run deterministic code, so a failure in
         the risky stages (parse/resolve/mine) leaves the pipeline on its
         previous consistent state.
+
+        ``resolved`` is a program already resolved and checked from these
+        texts; when every live unit is one of its units, its registry,
+        client types and check report are adopted instead of resolving
+        the corpus a second time.
         """
         texts = [(str(s), t) for s, t in texts]
         stats = PipelineUpdateStats(initial=self.graph is None)
@@ -517,7 +531,14 @@ class CorpusPipeline:
         # -- Stage 3: resolve + check (always over all live units) ------
         t0 = _now_ms()
         diagnostics: Optional[CorpusDiagnostics] = None
-        if self.lenient:
+        if resolved is not None and not parse_faults and _same_units(units_all, resolved.units):
+            registry = resolved.registry
+            units = list(units_all)
+            corpus_types = list(resolved.corpus_types)
+            report = resolved.check_report
+            if self.lenient:
+                diagnostics = CorpusDiagnostics(loaded=[u.source for u in units])
+        elif self.lenient:
             diagnostics = CorpusDiagnostics()
             for source, exc in parse_faults:
                 diagnostics.record(source, PHASE_PARSE, exc)

@@ -15,7 +15,7 @@ gathered in a :class:`~repro.robustness.QueryOutcome` instead of raising
 or hanging. With no budget configured the engine behaves exactly as the
 paper's tool (and exactly as this module always has).
 
-Serving performance comes from three layers on top of that:
+Serving performance comes from four layers on top of that:
 
 * **the compiled kernel** (:mod:`repro.search.kernel`): the live graph is
   lowered once per revision into a CSR snapshot with precomputed integer
@@ -23,6 +23,13 @@ Serving performance comes from three layers on top of that:
   run as iterative integer loops. ``SearchConfig.use_kernel`` keeps the
   reference implementation callable for differential testing; wrapped or
   proxied graphs (fault injectors) always take the reference path.
+* **ranking inside the kernel**: every part of the rank key except the
+  textual tie-break is a function of single steps
+  (:func:`~repro.search.ranking.step_rank_parts`). The compiled graph
+  keeps those parts per CSR slot, filled on first touch, so a path's key
+  is a sum over its slots; the tie-break text is the rendering already
+  made to de-duplicate, so each candidate is rendered once. The
+  reference path combines the same per-step parts, uncached.
 * **a bounded LRU distance cache** (:mod:`repro.search.cache`): one
   distance map per recently queried target, dropped wholesale when the
   graph's ``revision`` moves.
@@ -30,12 +37,13 @@ Serving performance comes from three layers on top of that:
   grouped by target so each distinct target pays for one Dijkstra no
   matter how many queries want it — the paper's multi-source trick
   generalized across a batch — with path→jungloid conversion and
-  ``rank_key`` memoized across the whole batch.
+  rendering memoized across the whole batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..graph import Node, SignatureGraph
@@ -69,7 +77,7 @@ from .paths import (
     enumerate_paths,
     shortest_path,
 )
-from .ranking import RankKey, ViabilityRankKey, rank_key, viability_rank_key
+from .ranking import PathRankParts, jungloid_rank_parts, path_rank_parts, step_rank_parts
 
 
 @dataclass(frozen=True)
@@ -138,8 +146,10 @@ BatchQueryLike = Union[
     Tuple[Sequence[JavaType], JavaType],
 ]
 
-#: Entries kept in the cross-query rank-key memo before it is reset.
-_RANK_MEMO_CAP = 8192
+#: A candidate's sort key: ``(demotion, cost, crossings, generality, text)``.
+RankTuple = Tuple[int, int, int, int, str]
+#: Batch-wide slot path → (jungloid, rendering) memo, per compiled graph.
+PathMemo = Dict[CompiledGraph, Dict[Tuple[int, ...], Tuple[Jungloid, str]]]
 
 
 class GraphSearch:
@@ -168,10 +178,6 @@ class GraphSearch:
         #: Counting hook: fresh backward-Dijkstra runs (cache misses).
         #: Batch tests assert on this to prove distance maps are shared.
         self.distance_computes = 0
-        # Cross-query rank-key memo, keyed by jungloid identity; the
-        # jungloid is retained so a live entry's id can never be reused.
-        # Entries embed the verdict demotion, so set_verdicts clears it.
-        self._rank_memo: Dict[int, Tuple[Jungloid, "_AnyRankKey"]] = {}
 
     def _edge_cost(self, edge) -> int:
         """Edge weight = the ranking heuristic's size estimate (§3.2)."""
@@ -245,7 +251,7 @@ class GraphSearch:
         Queries are grouped by target so each distinct target runs one
         backward Dijkstra for the entire batch (Section 5's multi-source
         amortization, generalized across requests); path→jungloid
-        conversion and ranking keys are memoized batch-wide. Outcomes
+        conversion and rendering are memoized batch-wide. Outcomes
         come back in input order. A fault while answering one query
         degrades that query's outcome only — the rest of the batch is
         unaffected.
@@ -258,7 +264,7 @@ class GraphSearch:
             time_budget_ms = self.config.time_budget_ms
         batch = [BatchQuery.of(q) for q in queries]
         outcomes: List[Optional[QueryOutcome]] = [None] * len(batch)
-        path_memo: Dict[Tuple[int, ...], Tuple[Jungloid, str]] = {}
+        path_memo: PathMemo = {}
         groups: Dict[Node, List[int]] = {}
         for i, query in enumerate(batch):
             groups.setdefault(query.target, []).append(i)
@@ -309,36 +315,76 @@ class GraphSearch:
         t_out: JavaType,
         deadline: Optional[Deadline],
         dist,
-        path_memo: Optional[Dict[Tuple[int, ...], Tuple[Jungloid, str]]] = None,
+        path_memo: Optional[PathMemo] = None,
     ) -> QueryOutcome:
-        collected: List[SearchResult] = []
+        ranked, reasons, rungs = self._ranked_candidates(
+            sources, t_out, deadline, dist, path_memo
+        )
+        return QueryOutcome(
+            results=tuple(result for _, result in ranked[: self.config.max_results]),
+            degraded=bool(reasons),
+            reasons=tuple(reasons),
+            rungs=tuple(rungs),
+            elapsed_ms=deadline.elapsed_ms() if deadline is not None else None,
+        )
+
+    def _ranked_candidates(
+        self,
+        sources: Sequence[JavaType],
+        t_out: JavaType,
+        deadline: Optional[Deadline],
+        dist,
+        path_memo: Optional[PathMemo] = None,
+    ) -> Tuple[List[Tuple[RankTuple, SearchResult]], List[DegradationReason], List[str]]:
+        """Run the degradation ladder; every candidate with its rank key.
+
+        Candidates come back sorted best-first. The key is
+        ``(demotion, cost, crossings, generality, text)``, the order of
+        :class:`~repro.search.ranking.ViabilityRankKey`; ``text`` is the
+        rendering already made to de-duplicate, so each candidate is
+        rendered once.
+        """
+        collected: List[Tuple[RankTuple, SearchResult]] = []
         seen_texts = set()
         reasons: List[DegradationReason] = []
         rungs_used: List[str] = [RUNG_FULL_WINDOW]
         sub_full = deadline.fraction(self.config.ladder_fractions[0]) if deadline else None
         sub_zero = deadline.fraction(self.config.ladder_fractions[1]) if deadline else None
+        verdicts = self.verdicts if self.config.analysis_ranking else None
+        registry = self.graph.registry
+
+        if isinstance(dist, KernelDistances):
+            # Kernel paths are CSR slot tuples, ranked from per-slot parts.
+            compiled = dist.compiled
+            rank_parts = self._slot_rank_parts(compiled, verdicts)
+            memo = path_memo.setdefault(compiled, {}) if path_memo is not None else None
+
+            def to_jungloid(path) -> Jungloid:
+                return SignatureGraph.path_to_jungloid(compiled.edges(path))
+
+        else:
+            # Reference paths are edge tuples, ranked step by step.
+            memo = None
+            to_jungloid = SignatureGraph.path_to_jungloid
+
+            def rank_parts(path, jungloid: Jungloid) -> PathRankParts:
+                return jungloid_rank_parts(registry, jungloid, self.cost_model, verdicts)
 
         def collect(source: JavaType, paths: Iterable) -> None:
             for path in paths:
-                if path_memo is not None:
-                    # Keyed by edge identity: edges are owned by the graph
-                    # and outlive the batch, so ids are stable.
-                    memo_key = tuple(map(id, path))
-                    entry = path_memo.get(memo_key)
-                    if entry is None:
-                        jungloid = SignatureGraph.path_to_jungloid(path)
-                        text = jungloid.render_expression("x")
-                        path_memo[memo_key] = (jungloid, text)
-                    else:
-                        jungloid, text = entry
-                else:
-                    jungloid = SignatureGraph.path_to_jungloid(path)
+                entry = memo.get(path) if memo is not None else None
+                if entry is None:
+                    jungloid = to_jungloid(path)
                     text = jungloid.render_expression("x")
-                key = (source, text)
-                if key in seen_texts:
+                    if memo is not None:
+                        memo[path] = (jungloid, text)
+                else:
+                    jungloid, text = entry
+                if (source, text) in seen_texts:
                     continue
-                seen_texts.add(key)
-                collected.append(SearchResult(jungloid, source))
+                key = rank_parts(path, jungloid) + (text,)
+                seen_texts.add((source, text))
+                collected.append((key, SearchResult(jungloid, source)))
 
         def use_rung(rung: str) -> None:
             if rung not in rungs_used:
@@ -425,14 +471,8 @@ class GraphSearch:
                         )
                     )
 
-        collected.sort(key=lambda r: self._rank_key(r.jungloid))
-        return QueryOutcome(
-            results=tuple(collected[: self.config.max_results]),
-            degraded=bool(reasons),
-            reasons=tuple(reasons),
-            rungs=tuple(rungs_used),
-            elapsed_ms=deadline.elapsed_ms() if deadline is not None else None,
-        )
+        collected.sort(key=itemgetter(0))
+        return collected, reasons, rungs_used
 
     def solve_from_context(
         self, visible_types: Sequence[JavaType], t_out: JavaType
@@ -575,33 +615,40 @@ class GraphSearch:
     def set_verdicts(self, verdicts) -> None:
         """Swap the verdict index used by analysis-aware ranking.
 
-        Clears the rank-key memo: cached keys embed the demotion bucket
-        of the *previous* index and would silently misrank otherwise.
+        The compiled graph's per-slot rank parts embed the demotion
+        bucket of the index they were derived from, so the next query
+        re-derives them (see :meth:`_slot_rank_parts`).
         """
         self.verdicts = verdicts
-        self._rank_memo.clear()
 
-    def _rank_key(self, jungloid: Jungloid) -> "_AnyRankKey":
-        """Memoized ranking key by jungloid identity.
+    def _slot_rank_parts(self, compiled: CompiledGraph, verdicts):
+        """A function giving a slot path's rank parts, summed per slot.
 
-        The paper's :func:`~repro.search.ranking.rank_key`, wrapped in a
-        :class:`~repro.search.ranking.ViabilityRankKey` when analysis-
-        aware ranking is on and a verdict index is attached.
+        Each slot's :func:`~repro.search.ranking.step_rank_parts` is
+        computed on first touch and kept in ``compiled.rank_parts``. The
+        array belongs to the verdict index it was filled under: a
+        different index (a ``set_verdicts`` swap) starts it afresh, and
+        so does a recompile, which makes a new :class:`CompiledGraph`.
         """
-        memo = self._rank_memo
-        entry = memo.get(id(jungloid))
-        if entry is not None and entry[0] is jungloid:
-            return entry[1]
-        if self.config.analysis_ranking and self.verdicts is not None:
-            key: _AnyRankKey = viability_rank_key(
-                self.graph.registry, jungloid, self.verdicts, self.cost_model
+        if compiled.rank_parts is None or compiled.rank_verdicts is not verdicts:
+            compiled.rank_parts = [None] * compiled.edge_count
+            compiled.rank_verdicts = verdicts
+        parts = compiled.rank_parts
+        refs = compiled.out_edges_ref
+        registry = self.graph.registry
+        cost_model = self.cost_model
+
+        def rank_parts(slots: Tuple[int, ...], jungloid: Jungloid) -> PathRankParts:
+            for slot in slots:
+                if parts[slot] is None:
+                    parts[slot] = step_rank_parts(
+                        refs[slot].elementary, registry, cost_model, verdicts
+                    )
+            return path_rank_parts(
+                [parts[slot] for slot in slots], registry, jungloid.output_type
             )
-        else:
-            key = rank_key(self.graph.registry, jungloid, self.cost_model)
-        if len(memo) >= _RANK_MEMO_CAP:
-            memo.clear()
-        memo[id(jungloid)] = (jungloid, key)
-        return key
+
+        return rank_parts
 
     def with_config(self, **overrides) -> "GraphSearch":
         """A copy of this search with config fields overridden."""
@@ -612,11 +659,6 @@ class GraphSearch:
             clock=self.clock,
             verdicts=self.verdicts,
         )
-
-
-#: Either ranking key shape; one GraphSearch instance only ever mixes
-#: them across a set_verdicts/config boundary, never within one sort.
-_AnyRankKey = Union[RankKey, ViabilityRankKey]
 
 
 def _unique(items: Iterable[JavaType]) -> List[JavaType]:

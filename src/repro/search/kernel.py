@@ -17,17 +17,23 @@ into a flat snapshot:
   (``out_start[u] .. out_start[u+1]`` indexes the edges leaving ``u``);
 * the cost model is evaluated **once per edge at compile time**, so the
   hot loops compare precomputed integers instead of calling back into
-  Python per expansion.
+  Python per expansion;
+* the ranking heuristic's per-step parts
+  (:func:`~repro.search.ranking.step_rank_parts`) get one slot per edge,
+  filled by the engine on first touch rather than at compile time, so a
+  path's rank key is a sum over its slots.
 
 On top of the snapshot, the backward Dijkstra and the bounded acyclic
 path enumeration are reimplemented as iterative loops (explicit stack).
 The enumeration mirrors the reference recursion *exactly* — the same
 entry checks in the same order, the same per-edge checks, the same
 deadline polling cadence against ``EnumerationReport.expansions`` — so a
-query answered through the kernel yields byte-identical paths in the
-same order as the reference path, including under deadline truncation
-with a :class:`~repro.robustness.ManualClock`. That property is what the
-differential tests in ``tests/test_search_kernel.py`` pin down.
+query answered through the kernel yields the same paths in the same
+order as the reference path, including under deadline truncation with a
+:class:`~repro.robustness.ManualClock`. That property is what the
+differential tests in ``tests/test_search_kernel.py`` pin down. Paths
+come out as tuples of CSR slots; :meth:`CompiledGraph.edges` maps them
+back to the edge tuples the reference yields.
 """
 
 from __future__ import annotations
@@ -41,12 +47,16 @@ from .paths import EdgeCost, EnumerationReport, UNREACHABLE, unit_cost
 
 
 class CompiledGraph:
-    """An immutable CSR snapshot of a signature/jungloid graph.
+    """A CSR snapshot of a signature/jungloid graph.
 
     ``out_edges_ref[i]`` is the live :class:`~repro.graph.Edge` object for
-    CSR slot ``i`` — paths are yielded in terms of the *same* edge objects
-    the reference enumeration yields, so everything downstream (jungloid
-    conversion, ranking, rendering) is unchanged.
+    CSR slot ``i``, so a slot path maps back to the *same* edge objects
+    the reference enumeration yields.
+
+    The topology is immutable. ``rank_parts`` is the one mutable part: a
+    per-slot cache of :func:`~repro.search.ranking.step_rank_parts`,
+    ``None`` until the engine first ranks a path, and tied to the verdict
+    index ``rank_verdicts`` its demotions were derived from.
     """
 
     __slots__ = (
@@ -60,6 +70,8 @@ class CompiledGraph:
         "in_start",
         "in_source",
         "in_cost",
+        "rank_parts",
+        "rank_verdicts",
     )
 
     def __init__(
@@ -85,6 +97,13 @@ class CompiledGraph:
         self.in_start = in_start
         self.in_source = in_source
         self.in_cost = in_cost
+        self.rank_parts: Optional[list] = None
+        self.rank_verdicts = None
+
+    def edges(self, slots: Tuple[int, ...]) -> Tuple[Edge, ...]:
+        """The edge objects of a slot path."""
+        refs = self.out_edges_ref
+        return tuple(refs[i] for i in slots)
 
     @property
     def node_count(self) -> int:
@@ -229,14 +248,14 @@ def kernel_enumerate_paths(
     deadline: Optional[Deadline] = None,
     report: Optional[EnumerationReport] = None,
     check_every: int = 128,
-) -> Iterator[Tuple[Edge, ...]]:
+) -> Iterator[Tuple[int, ...]]:
     """Iterative twin of :func:`repro.search.paths.enumerate_paths`.
 
-    Yields the same paths, in the same order, with the same
-    :class:`EnumerationReport` accounting (expansions counted per node
-    entry, deadline polled every ``check_every`` expansions, ``max_paths``
-    cap flagged at the same points) — the recursion is unrolled onto an
-    explicit frame stack, nothing else changes.
+    Yields the same paths, as CSR slot tuples, in the same order, with
+    the same :class:`EnumerationReport` accounting (expansions counted
+    per node entry, deadline polled every ``check_every`` expansions,
+    ``max_paths`` cap flagged at the same points) — the recursion is
+    unrolled onto an explicit frame stack, nothing else changes.
     """
     if report is None:
         report = EnumerationReport()
@@ -257,7 +276,6 @@ def kernel_enumerate_paths(
     out_start = compiled.out_start
     out_target = compiled.out_target
     out_cost = compiled.out_cost
-    out_edges_ref = compiled.out_edges_ref
 
     produced = 0
     stopped = False
@@ -302,7 +320,7 @@ def kernel_enumerate_paths(
             if node == tid and path:
                 produced += 1
                 report.produced = produced
-                yield tuple(out_edges_ref[i] for i in path)
+                yield tuple(path)
                 # Continuing past the target would need a cycle; stop.
                 leave()
                 continue
@@ -336,8 +354,8 @@ def kernel_shortest_path(
     source: Node,
     target: Node,
     dist: Optional[KernelDistances] = None,
-) -> Optional[Tuple[Edge, ...]]:
-    """Iterative twin of :func:`repro.search.paths.shortest_path`."""
+) -> Optional[Tuple[int, ...]]:
+    """Iterative twin of :func:`repro.search.paths.shortest_path`, as slots."""
     node_id = compiled.node_id
     sid = node_id.get(source)
     tid = node_id.get(target)
@@ -351,9 +369,8 @@ def kernel_shortest_path(
     out_start = compiled.out_start
     out_target = compiled.out_target
     out_cost = compiled.out_cost
-    out_edges_ref = compiled.out_edges_ref
     node = sid
-    path: List[Edge] = []
+    path: List[int] = []
     visited = bytearray(len(compiled.nodes))
     visited[sid] = 1
     while node != tid:
@@ -363,7 +380,7 @@ def kernel_shortest_path(
             if visited[nxt]:
                 continue
             if out_cost[i] + arr[nxt] == here:
-                path.append(out_edges_ref[i])
+                path.append(i)
                 node = nxt
                 visited[nxt] = 1
                 break

@@ -24,7 +24,7 @@ are byte-identical whenever verdicts don't differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..jungloids import CostModel, DEFAULT_COST_MODEL, Jungloid
 from ..typesystem import JavaType, TypeRegistry, VOID, generality_key, package_distance, type_package
@@ -42,6 +42,22 @@ def true_output_type(jungloid: Jungloid) -> JavaType:
     return jungloid.output_type
 
 
+def step_crossings(step) -> int:
+    """Package-tree distance walked by one step (see :func:`package_crossings`)."""
+    if step.is_widening:
+        return 0
+    in_pkg = type_package(step.input_type) if step.input_type != VOID else None
+    out_pkg = type_package(step.output_type)
+    owner = getattr(step.member, "owner", None)
+    if owner is None:
+        return package_distance(in_pkg, out_pkg) if in_pkg is not None else 0
+    owner_pkg = type_package(owner)
+    crossings = package_distance(owner_pkg, out_pkg)
+    if in_pkg is not None:
+        crossings += package_distance(in_pkg, owner_pkg)
+    return crossings
+
+
 def package_crossings(jungloid: Jungloid) -> int:
     """Total package-tree distance walked by the jungloid.
 
@@ -51,21 +67,70 @@ def package_crossings(jungloid: Jungloid) -> int:
     output type's package. Casts charge input→output directly. ``void``
     inputs charge nothing on the input side.
     """
-    total = 0
-    for step in jungloid.steps:
-        if step.is_widening:
-            continue
-        in_pkg = type_package(step.input_type) if step.input_type != VOID else None
-        out_pkg = type_package(step.output_type)
-        owner = getattr(step.member, "owner", None)
-        if owner is not None:
-            owner_pkg = type_package(owner)
-            if in_pkg is not None:
-                total += package_distance(in_pkg, owner_pkg)
-            total += package_distance(owner_pkg, out_pkg)
-        elif in_pkg is not None:
-            total += package_distance(in_pkg, out_pkg)
-    return total
+    return sum(step_crossings(step) for step in jungloid.steps)
+
+
+#: ``(cost, crossings, generality, demotion)`` of one step; generality is
+#: ``None`` for a widening step, which the generality tie-break looks
+#: through.
+StepRankParts = Tuple[int, int, Optional[int], int]
+#: ``(demotion, cost, crossings, generality)`` of a whole jungloid: the
+#: rank key without its textual tie-break, in sort order.
+PathRankParts = Tuple[int, int, int, int]
+
+
+def step_rank_parts(
+    step,
+    registry: TypeRegistry,
+    cost_model: CostModel = DEFAULT_COST_MODEL,
+    verdicts=None,
+) -> StepRankParts:
+    """The rank-key contribution of one elementary jungloid.
+
+    Every part of the key except the tie-break text is a function of
+    single steps: cost and crossings add up along a jungloid, demotion is
+    their maximum, and generality is that of the last non-widening step.
+    The search kernel evaluates this once per graph edge; the public keys
+    below combine the same parts, so the two cannot drift apart.
+    """
+    return (
+        cost_model.step_total(step),
+        step_crossings(step),
+        None if step.is_widening else generality_key(registry, step.output_type),
+        verdicts.step_demotion(step) if verdicts is not None else 0,
+    )
+
+
+def path_rank_parts(
+    parts: Iterable[StepRankParts], registry: TypeRegistry, output_type: JavaType
+) -> PathRankParts:
+    """Combine per-step parts along a jungloid producing ``output_type``."""
+    cost = crossings = demotion = 0
+    generality = None
+    for step_cost, step_crossed, step_generality, step_demotion in parts:
+        cost += step_cost
+        crossings += step_crossed
+        if step_generality is not None:
+            generality = step_generality
+        if step_demotion > demotion:
+            demotion = step_demotion
+    if generality is None:  # all widening: the output type itself
+        generality = generality_key(registry, output_type)
+    return demotion, cost, crossings, generality
+
+
+def jungloid_rank_parts(
+    registry: TypeRegistry,
+    jungloid: Jungloid,
+    cost_model: CostModel = DEFAULT_COST_MODEL,
+    verdicts=None,
+) -> PathRankParts:
+    """:func:`path_rank_parts` of a jungloid, evaluated step by step."""
+    return path_rank_parts(
+        (step_rank_parts(step, registry, cost_model, verdicts) for step in jungloid.steps),
+        registry,
+        jungloid.output_type,
+    )
 
 
 @dataclass(frozen=True, order=True)
@@ -81,12 +146,7 @@ class RankKey:
 def rank_key(
     registry: TypeRegistry, jungloid: Jungloid, cost_model: CostModel = DEFAULT_COST_MODEL
 ) -> RankKey:
-    return RankKey(
-        cost=cost_model.cost(jungloid),
-        crossings=package_crossings(jungloid),
-        generality=generality_key(registry, true_output_type(jungloid)),
-        text=jungloid.render_expression("x"),
-    )
+    return viability_rank_key(registry, jungloid, None, cost_model).base
 
 
 @dataclass(frozen=True, order=True)
@@ -113,10 +173,11 @@ def viability_rank_key(
     ``verdicts`` is a :class:`~repro.analysis.verdicts.CastVerdictIndex`
     (or ``None``, in which case nothing is demoted).
     """
-    demotion = verdicts.demotion_rank(jungloid) if verdicts is not None else 0
-    return ViabilityRankKey(
-        demotion=demotion, base=rank_key(registry, jungloid, cost_model)
+    demotion, cost, crossings, generality = jungloid_rank_parts(
+        registry, jungloid, cost_model, verdicts
     )
+    base = RankKey(cost, crossings, generality, jungloid.render_expression("x"))
+    return ViabilityRankKey(demotion=demotion, base=base)
 
 
 def rank(

@@ -6,7 +6,7 @@ from repro import Prospector
 from repro.analysis import CastVerdict
 from repro.core.prospector import ProspectorConfig
 from repro.eval import TABLE1_PROBLEMS
-from repro.graph import SignatureGraph
+from repro.graph import JungloidGraph, SignatureGraph
 from repro.jungloids import DEFAULT_COST_MODEL, Jungloid, downcast
 from repro.search import (
     GraphSearch,
@@ -96,21 +96,35 @@ class TestEngineIntegration:
         demotions = [verdicts.demotion_rank(j) for j in results]
         assert demotions == sorted(demotions)
 
-    def test_set_verdicts_clears_rank_memo(self, standard_prospector):
-        registry = standard_prospector.registry
-        verdicts = standard_prospector.verdicts
-        graph = SignatureGraph.from_registry(registry, include_downcasts=True)
+    def test_set_verdicts_rederives_demotion(self, small_prospector):
+        registry = small_prospector.registry
+        verdicts = small_prospector.verdicts
+        panel = registry.lookup("demo.ui.Panel")
+        item = registry.lookup("demo.ui.Item")
+        graph = JungloidGraph.build(registry)
+        # An unrelated-class downcast the verdict index calls INVIABLE; on
+        # the paper's key alone it ties with ``new Item(panel)`` and wins
+        # the textual tie-break.
+        graph.add_mined_path(Jungloid((downcast(panel, item),)))
+
+        def texts(jungloids):
+            return [j.render_expression("x") for j in jungloids]
+
         search = GraphSearch(graph)
-        t_in = registry.lookup("org.eclipse.jface.viewers.ISelection")
-        t_out = registry.lookup("org.eclipse.jdt.core.dom.ASTNode")
-        before = search.solve(t_in, t_out)
+        before = search.solve(panel, item)  # fills the slot parts, no verdicts
+        compiled = search._compiled_graph()
+        assert compiled.rank_parts is not None
         search.set_verdicts(verdicts)
-        after = search.solve(t_in, t_out)
+        after = search.solve(panel, item)
+        assert search._compiled_graph() is compiled  # no recompile needed
+        assert compiled.rank_verdicts is verdicts
+        assert texts(after) == texts(GraphSearch(graph, verdicts=verdicts).solve(panel, item))
         demotions = [verdicts.demotion_rank(j) for j in after]
-        assert demotions == sorted(demotions)
-        assert sorted(j.render_expression("x") for j in before) == sorted(
-            j.render_expression("x") for j in after
-        )
+        assert demotions == sorted(demotions) and demotions[-1] == 1
+        assert texts(after) != texts(before)  # the swap moved the demoted answer
+        assert sorted(texts(after)) == sorted(texts(before))
+        search.set_verdicts(None)
+        assert texts(search.solve(panel, item)) == texts(before)
 
 
 class TestTable1Unchanged:

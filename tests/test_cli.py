@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -315,3 +320,21 @@ class TestBenchSearch:
         )
         assert code == 1
         assert "below required" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_cli_import_defers_eval(self):
+        # The evaluation harness is only needed by the study commands, so
+        # a plain query process must not pay for importing it.
+        src = str(pathlib.Path(repro.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.eval')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -2,10 +2,14 @@
 sequence of corpus edits must leave the ranked answers byte-identical to
 a from-scratch build of the same final texts."""
 
+import sys
+
 import pytest
 
+import repro.minijava
 from repro import Prospector
 from repro.corpus import load_corpus_texts
+from repro.data import standard_corpus, standard_registry
 from repro.eval import TABLE1_PROBLEMS
 from repro.pipeline import CorpusPipeline
 from repro.typesystem import named
@@ -271,3 +275,59 @@ class TestSelectiveInvalidation:
         assert stats.affected_targets > 0
         assert live.search._distances(stream) is kept
         assert item not in live.search._dist_cache
+
+
+def count_resolves(monkeypatch):
+    """Count ``resolve_program`` calls made through any ``repro`` module."""
+    calls = []
+    original = repro.minijava.resolve_program
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("repro") and getattr(module, "resolve_program", None) is original:
+            monkeypatch.setattr(module, "resolve_program", counting)
+    return calls
+
+
+class TestResolveOnce:
+    """A build from an already-loaded program adopts its resolution."""
+
+    def test_cold_build_resolves_once(self, monkeypatch):
+        registry = standard_registry()
+        calls = count_resolves(monkeypatch)
+        corpus = standard_corpus(registry)
+        live = Prospector(registry, corpus)
+        assert len(calls) == 1
+        assert live.corpus.registry is corpus.registry
+        queries = [(p.t_in, p.t_out) for p in TABLE1_PROBLEMS]
+        name, original = live.pipeline.texts[0]
+        live.update_corpus([(name, original + "\n// touched\n")])
+        scratch = Prospector(
+            registry,
+            pipeline=CorpusPipeline.build(registry, list(live.pipeline.texts)),
+        )
+        assert ranked_answers(live, queries) == ranked_answers(scratch, queries)
+
+    def test_lenient_quarantine_is_not_adopted(self, small_registry, monkeypatch):
+        texts = [("handler.mj", SMALL_CORPUS), ("broken.mj", "class {")]
+        program = load_corpus_texts(small_registry, texts, lenient=True)
+        assert program.diagnostics.quarantined_sources() == ["broken.mj"]
+        calls = count_resolves(monkeypatch)
+        live = Prospector(small_registry, program)
+        assert len(calls) == 1  # the pipeline resolved again, as before
+        assert live.corpus.diagnostics.quarantined_sources() == ["broken.mj"]
+        assert_matches_scratch(small_registry, live, texts[:1], SMALL_QUERIES)
+
+    def test_clean_lenient_program_is_adopted(self, small_registry, monkeypatch):
+        texts = [("handler.mj", SMALL_CORPUS)]
+        program = load_corpus_texts(small_registry, texts, lenient=True)
+        calls = count_resolves(monkeypatch)
+        live = Prospector(small_registry, program)
+        assert calls == []
+        assert live.corpus.diagnostics.ok
+        assert live.corpus.diagnostics.loaded == ["handler.mj"]
+        assert_matches_scratch(small_registry, live, texts, SMALL_QUERIES)

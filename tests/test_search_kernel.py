@@ -8,6 +8,8 @@ and compares outputs structurally.
 """
 
 from repro.eval import TABLE1_PROBLEMS
+from repro.eval.perf import build_stress_graph
+from repro.core import CursorContext
 from repro.core.query import Query
 from repro.graph import JungloidGraph, SignatureGraph
 from repro.jungloids import Jungloid, downcast
@@ -25,8 +27,9 @@ from repro.search import (
     kernel_enumerate_paths,
     kernel_shortest_path,
     shortest_path,
+    viability_rank_key,
 )
-from repro.typesystem import named
+from repro.typesystem import VOID, named
 
 
 def _pair(graph, **overrides):
@@ -38,6 +41,47 @@ def _pair(graph, **overrides):
 
 def _texts(outcome):
     return [r.jungloid.render_expression("x") for r in outcome.results]
+
+
+def _keyed(search, sources, target):
+    """The engine's ranked candidates with the keys it sorted them by."""
+    ranked, _, _ = search._ranked_candidates(
+        sources, target, None, search._distances(target)
+    )
+    return ranked
+
+
+def _public_key(search, jungloid):
+    """:func:`viability_rank_key` flattened to the engine's key order."""
+    key = viability_rank_key(
+        search.graph.registry, jungloid, search.verdicts, search.cost_model
+    )
+    base = key.base
+    return (key.demotion, base.cost, base.crossings, base.generality, base.text)
+
+
+#: Completion contexts: (target, visible variables).
+CONTEXTS = [
+    ("java.io.BufferedReader", [("in", "java.io.InputStream"), ("f", "java.io.File")]),
+    ("org.eclipse.jdt.core.dom.ASTNode", [("sel", "org.eclipse.jface.viewers.ISelection")]),
+    (
+        "org.eclipse.ui.part.EditorPart",
+        [("a", "org.eclipse.ui.texteditor.AbstractTextEditor"), ("b", "org.eclipse.swt.widgets.Tree")],
+    ),
+]
+
+
+def _standard_requests(prospector):
+    """(sources, target) for the 20 Table-1 queries and the contexts."""
+    registry = prospector.registry
+    requests = []
+    for problem in TABLE1_PROBLEMS:
+        q = Query.of(registry, problem.t_in, problem.t_out)
+        requests.append(([q.t_in], q.t_out))
+    for target, visible in CONTEXTS:
+        context = CursorContext.at_assignment(registry, target, visible=visible)
+        requests.append((context.source_types(), context.target_type))
+    return requests
 
 
 class TestCompiledGraph:
@@ -102,11 +146,12 @@ class TestEnumerationParity:
         ref = list(
             enumerate_paths(graph, src, dst, bound, report=ref_report, **kw)
         )
-        ker = list(
-            kernel_enumerate_paths(
+        ker = [
+            compiled.edges(slots)
+            for slots in kernel_enumerate_paths(
                 compiled, src, dst, bound, report=ker_report, **kw
             )
-        )
+        ]
         return ref, ker, ref_report, ker_report
 
     def test_same_paths_same_order(self, small_registry):
@@ -143,13 +188,14 @@ class TestEnumerationParity:
                 report=ref_rep, check_every=1,
             )
         )
-        ker = list(
-            kernel_enumerate_paths(
+        ker = [
+            compiled.edges(slots)
+            for slots in kernel_enumerate_paths(
                 compiled, src, dst, 6,
                 deadline=Deadline.after(25.0, ManualClock(tick=0.010)),
                 report=ker_rep, check_every=1,
             )
-        )
+        ]
         assert ref == ker
         assert ref_rep.deadline_expired == ker_rep.deadline_expired
         assert ref_rep.expansions == ker_rep.expansions
@@ -163,9 +209,8 @@ class TestEnumerationParity:
             ("demo.ui.Panel", "demo.ui.ISelection"),
         ]:
             src, dst = named(src_name), named(dst_name)
-            assert kernel_shortest_path(compiled, src, dst) == shortest_path(
-                graph, src, dst
-            )
+            slots = kernel_shortest_path(compiled, src, dst)
+            assert compiled.edges(slots) == shortest_path(graph, src, dst)
 
     def test_unreachable_shortest_path_is_none(self, small_registry):
         graph = SignatureGraph.from_registry(small_registry)
@@ -260,3 +305,113 @@ class TestDifferentialTable1:
         ref, _ = _pair(graph)
         ref.solve(named("java.io.InputStream"), named("java.io.BufferedReader"))
         assert ref._compiled is None
+
+
+class TestKernelRankKeys:
+    """The kernel sums per-slot rank parts; the sums must equal the
+    public keys, which evaluate the same parts step by step."""
+
+    def _assert_keys_match(self, search, sources, target):
+        ranked = _keyed(search, sources, target)
+        for key, result in ranked:
+            assert key == _public_key(search, result.jungloid)
+        return ranked
+
+    def test_table1_and_completion_keys_equal_public_keys(self, standard_prospector):
+        search = standard_prospector.search
+        assert search.verdicts is not None
+        answered = 0
+        for sources, target in _standard_requests(standard_prospector):
+            answered += bool(self._assert_keys_match(search, sources, target))
+        assert answered >= 18 + len(CONTEXTS)  # 18 of 20 Table-1 queries answer
+
+    def test_stress_graph_keys_equal_public_keys(self):
+        _, graph = build_stress_graph()
+        search = GraphSearch(graph)
+        ranked = self._assert_keys_match(
+            search, [named("stress.Source")], named("stress.Target")
+        )
+        assert len(ranked) == 16 * 16
+
+    def test_demoted_and_widening_paths(self, small_prospector):
+        registry = small_prospector.registry
+        viewer = registry.lookup("demo.ui.Viewer")
+        item = registry.lookup("demo.ui.Item")
+        graph = JungloidGraph.build(registry)
+        # An unrelated-class downcast: the verdict index calls it INVIABLE.
+        graph.add_mined_path(Jungloid((downcast(viewer, item),)))
+        search = GraphSearch(graph, verdicts=small_prospector.verdicts)
+        ranked = self._assert_keys_match(
+            search, [registry.lookup("demo.ui.Panel")], item
+        )
+        assert {key[0] for key, _ in ranked} == {0, 1}  # some demoted, some not
+        # A pure widening chain ranks by the generality of its output.
+        widening = self._assert_keys_match(
+            search,
+            [registry.lookup("demo.io.BufferedReader")],
+            registry.lookup("demo.io.Reader"),
+        )
+        assert any(
+            all(step.is_widening for step in result.jungloid.steps)
+            for _, result in widening
+        )
+
+    def test_kernel_keys_equal_reference_keys(self, standard_prospector):
+        ref, ker = _pair(standard_prospector.graph)
+        ref.verdicts = ker.verdicts = standard_prospector.verdicts
+        for sources, target in _standard_requests(standard_prospector):
+            a = [(key, r.source_type) for key, r in _keyed(ref, sources, target)]
+            b = [(key, r.source_type) for key, r in _keyed(ker, sources, target)]
+            assert a == b, target
+
+    def test_slot_parts_fill_lazily(self, small_registry):
+        graph = SignatureGraph.from_registry(small_registry)
+        search = GraphSearch(graph)
+        compiled = search._compiled_graph()
+        assert compiled.rank_parts is None  # compiling ranks nothing
+        search.solve(named("demo.io.InputStream"), named("demo.io.BufferedReader"))
+        filled = [p for p in compiled.rank_parts if p is not None]
+        assert 0 < len(filled) < compiled.edge_count
+
+
+class TestDifferentialRanked:
+    """Ranked output, kernel vs reference, beyond single Table-1 queries."""
+
+    def test_completion_contexts_identical(self, standard_prospector):
+        ref, ker = _pair(standard_prospector.graph)
+        registry = standard_prospector.registry
+        for target, visible in CONTEXTS:
+            context = CursorContext.at_assignment(registry, target, visible=visible)
+            a = ref.solve_multi_outcome(context.source_types(), context.target_type)
+            b = ker.solve_multi_outcome(context.source_types(), context.target_type)
+            assert _texts(a) == _texts(b)
+            assert [r.source_type for r in a.results] == [
+                r.source_type for r in b.results
+            ]
+            assert VOID in {r.source_type for r in b.results}
+
+    def test_deadline_truncated_completions_identical(self, standard_prospector):
+        ref, ker = _pair(standard_prospector.graph, deadline_check_every=1)
+        registry = standard_prospector.registry
+        for target, visible in CONTEXTS:
+            context = CursorContext.at_assignment(registry, target, visible=visible)
+            outcomes = [
+                engine.solve_multi_outcome(
+                    context.source_types(),
+                    context.target_type,
+                    deadline=Deadline.after(0.25, ManualClock(tick=0.010)),
+                )
+                for engine in (ref, ker)
+            ]
+            a, b = outcomes
+            assert a.degraded and b.degraded
+            assert _texts(a) == _texts(b)
+            assert a.rungs == b.rungs
+
+    def test_stress_graph_identical(self):
+        _, graph = build_stress_graph()
+        ref, ker = _pair(graph)
+        a = ref.solve_multi_outcome([named("stress.Source")], named("stress.Target"))
+        b = ker.solve_multi_outcome([named("stress.Source")], named("stress.Target"))
+        assert _texts(a) == _texts(b)
+        assert len(b.results) == ker.config.max_results

@@ -314,8 +314,8 @@ class Prospector:
             self._fallback_verdicts = None
         else:
             # Same graph object, possibly new verdicts: swap the index
-            # (this also clears the rank-key memo, whose entries embed
-            # the previous index's demotion buckets).
+            # (the engine re-derives its per-edge rank parts, which
+            # embed the previous index's demotion buckets).
             self.set_verdicts(self.pipeline.verdicts)
         self._argument_examples_cache = None
         return stats
@@ -327,8 +327,9 @@ class Prospector:
     def set_verdicts(self, verdicts: Optional[CastVerdictIndex]) -> None:
         """Attach (or replace) the cast-verdict index.
 
-        Propagates to the search engine, which clears its rank-key memo
-        — stale keys would embed the old index's demotion buckets.
+        Propagates to the search engine, whose next query re-derives the
+        per-edge rank parts — stale parts would embed the old index's
+        demotion buckets.
         """
         self.verdicts = verdicts
         self._fallback_verdicts = None

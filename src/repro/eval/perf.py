@@ -22,7 +22,15 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..apispec import ApiBuilder
 from ..core import Prospector
 from ..graph import JungloidGraph, SignatureGraph, bundle_to_json, load_graph_from_json
-from ..search import GraphSearch, SearchConfig
+from ..search import (
+    GraphSearch,
+    compile_graph,
+    distances_for,
+    distances_to,
+    enumerate_paths,
+    kernel_enumerate_paths,
+    reference_solve,
+)
 from ..store import SnapshotStore, atomic_write_text
 from ..typesystem import TypeRegistry, named
 from .problems import TABLE1_PROBLEMS, Table1Problem
@@ -265,15 +273,17 @@ def percentile(samples: Sequence[float], p: float) -> float:
 class SearchPerfReport:
     """Search latency/throughput: kernel vs reference, batch vs serial.
 
-    *Single-query latency* is measured cold — the per-target distance
-    cache is cleared before every query — because that is the first-hit
-    latency a user pays; both implementations are treated identically.
+    The reference side is :func:`~repro.search.reference_solve`, the
+    plain recursive search the engine is held to. *Single-query latency*
+    is measured cold — the engine's per-target distance cache is cleared
+    before every query — because that is the first-hit latency a user
+    pays; the reference keeps no state between queries.
     *Batch throughput* compares stateless one-at-a-time serving on the
-    reference implementation (nothing shared between requests) against
+    reference (nothing shared between requests) against
     :meth:`~repro.search.GraphSearch.solve_batch` on the kernel, which
-    shares one distance map per distinct target plus batch-wide
-    path→jungloid and rank-key memos. Kernel compilation is a startup
-    cost (like a snapshot load) and is reported separately.
+    shares one distance map per distinct target plus a batch-wide
+    path→jungloid memo. Kernel compilation is a startup cost (like a
+    snapshot load) and is reported separately.
     """
 
     #: Table-1 per-query cold latencies, reference implementation.
@@ -441,8 +451,8 @@ def _resolve_problems(
     return pairs
 
 
-def _ranked_texts(engine: GraphSearch, t_in, t_out) -> List[str]:
-    return [j.render_expression("x") for j in engine.solve(t_in, t_out)]
+def _texts(results) -> List[str]:
+    return [r.jungloid.render_expression("x") for r in results]
 
 
 def run_search_perf(
@@ -464,42 +474,42 @@ def run_search_perf(
     base_config = replace(prospector.config.search, time_budget_ms=None)
     cost_model = prospector.config.cost_model
 
-    def make_engine(use_kernel: bool) -> GraphSearch:
-        return GraphSearch(
-            graph,
-            cost_model=cost_model,
-            config=replace(base_config, use_kernel=use_kernel),
-        )
+    def make_engine() -> GraphSearch:
+        return GraphSearch(graph, cost_model=cost_model, config=base_config)
+
+    def reference(t_in, t_out) -> list:
+        return reference_solve(graph, [t_in], t_out, base_config, cost_model)
 
     queries = _resolve_problems(prospector, problems)
 
     # -- one-time lowering cost (startup, like a snapshot load) --------
-    kernel_engine = make_engine(True)
+    kernel_engine = make_engine()
     start = time.perf_counter()
     kernel_engine._compiled_graph()
     report.compile_seconds = time.perf_counter() - start
 
     # -- differential check: the speedup must not change the answers --
-    reference_engine = make_engine(False)
     for t_in, t_out in queries:
-        if _ranked_texts(kernel_engine, t_in, t_out) != _ranked_texts(
-            reference_engine, t_in, t_out
+        if _texts(kernel_engine.solve_multi([t_in], t_out)) != _texts(
+            reference(t_in, t_out)
         ):
             report.identical_results = False
 
     # -- single-query cold latency ------------------------------------
-    def cold_latencies(engine: GraphSearch) -> List[float]:
+    def cold_latencies(solve: Callable, reset: Callable[[], None]) -> List[float]:
         best = [float("inf")] * len(queries)
         for _ in range(max(1, repeats)):
             for i, (t_in, t_out) in enumerate(queries):
-                engine._dist_cache.clear()
+                reset()
                 start = time.perf_counter()
-                engine.solve(t_in, t_out)
+                solve(t_in, t_out)
                 best[i] = min(best[i], time.perf_counter() - start)
         return best
 
-    report.reference_query_seconds = cold_latencies(reference_engine)
-    report.kernel_query_seconds = cold_latencies(kernel_engine)
+    report.reference_query_seconds = cold_latencies(reference, lambda: None)
+    report.kernel_query_seconds = cold_latencies(
+        kernel_engine.solve, kernel_engine._dist_cache.clear
+    )
 
     # -- batch throughput ---------------------------------------------
     workload = queries * max(1, batch_rounds)
@@ -507,15 +517,13 @@ def run_search_perf(
     report.batch_query_count = len(workload)
 
     def serve_one_at_a_time() -> float:
-        engine = make_engine(False)
         start = time.perf_counter()
         for t_in, t_out in workload:
-            engine._dist_cache.clear()  # stateless: nothing shared
-            engine.solve(t_in, t_out)
+            reference(t_in, t_out)  # stateless: nothing shared
         return time.perf_counter() - start
 
     def serve_batch() -> float:
-        engine = make_engine(True)
+        engine = make_engine()
         engine._compiled_graph()  # compiled at startup
         start = time.perf_counter()
         engine.solve_batch(workload)
@@ -530,13 +538,6 @@ def run_search_perf(
     # Raw search cost only (distance map + bounded enumeration): the
     # downstream jungloid conversion and ranking are byte-identical in
     # both modes, so including them would only dilute the comparison.
-    from ..search import (
-        compile_graph,
-        distances_for,
-        distances_to,
-        enumerate_paths,
-        kernel_enumerate_paths,
-    )
 
     stress_registry, stress_graph = build_stress_graph(fan_out=stress_fan_out)
     report.stress_nodes = stress_graph.node_count()

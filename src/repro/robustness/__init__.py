@@ -27,8 +27,8 @@ from .diagnostics import (
 from .faults import (
     ByteMutator,
     CorpusText,
+    FlakyClock,
     FlakyFileSystem,
-    FlakyGraph,
     InjectedFault,
     blank_text,
     corrupt_corpus,
@@ -57,12 +57,12 @@ __all__ = [
     "CorpusDiagnostics",
     "CorpusFault",
     "CorpusText",
+    "FlakyClock",
     "FlakyFileSystem",
     "DEGRADATION_LADDER",
     "Deadline",
     "DegradationReason",
     "ExtractionFault",
-    "FlakyGraph",
     "InjectedFault",
     "LOAD_PHASES",
     "ManualClock",

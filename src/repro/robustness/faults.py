@@ -4,9 +4,9 @@ Robustness code that is only reachable under production failures is
 untested code. These hooks make every failure mode reproducible:
 
 * :class:`ManualClock` (in :mod:`.budget`) drives deadline expiry;
-* :class:`FlakyGraph` wraps a signature/jungloid graph and raises
-  :class:`InjectedFault` after a fixed number of edge expansions, so a
-  mid-search crash happens at an exact, repeatable step;
+* :class:`FlakyClock` raises :class:`InjectedFault` on one exact clock
+  reading; the search kernel reads the clock at its deadline polls, so
+  a mid-search crash happens at an exact, repeatable step;
 * the corpus mutators corrupt ``(name, text)`` corpus entries in fixed
   ways (garbled token, truncation) so lenient-loading quarantine paths
   run against known-bad input;
@@ -17,7 +17,7 @@ untested code. These hooks make every failure mode reproducible:
   the previous-generation and rebuild rungs are reachable on demand.
 
 Nothing here is imported by production code paths; the engine and the
-loaders see only the ordinary graph / corpus interfaces.
+loaders see only the ordinary clock / corpus / reader interfaces.
 """
 
 from __future__ import annotations
@@ -31,39 +31,26 @@ class InjectedFault(RuntimeError):
     """A deliberate failure raised by a fault-injection hook."""
 
 
-class FlakyGraph:
-    """A graph proxy whose edge iteration fails after ``fail_after`` calls.
+class FlakyClock:
+    """A :data:`~.budget.Clock` that raises on exactly its ``fail_on``-th reading.
 
-    Delegates everything else to the wrapped graph, so it can stand in
-    for a :class:`~repro.graph.SignatureGraph` anywhere the search engine
-    expects one. ``fail_on`` selects which accessor trips ("out" for the
-    forward DFS, "in" for the backward Dijkstra).
+    Every other reading returns 0.0, so a deadline on this clock never
+    expires by itself. Search polls its deadline from inside the
+    kernel's enumeration loop, so with
+    ``SearchConfig(deadline_check_every=1)`` the fault lands at a fixed
+    expansion of the code that serves real queries. The fault fires
+    once: later readings (the outcome's ``elapsed_ms``, for one) succeed.
     """
 
-    def __init__(self, graph, fail_after: int, fail_on: str = "out"):
-        self._graph = graph
-        self.fail_after = int(fail_after)
-        self.fail_on = fail_on
+    def __init__(self, fail_on: int):
+        self.fail_on = int(fail_on)
         self.calls = 0
 
-    def _tick(self, kind: str):
-        if kind == self.fail_on:
-            self.calls += 1
-            if self.calls > self.fail_after:
-                raise InjectedFault(
-                    f"injected {kind}-edge fault after {self.fail_after} expansions"
-                )
-
-    def out_edges(self, node):
-        self._tick("out")
-        return self._graph.out_edges(node)
-
-    def in_edges(self, node):
-        self._tick("in")
-        return self._graph.in_edges(node)
-
-    def __getattr__(self, name):
-        return getattr(self._graph, name)
+    def __call__(self) -> float:
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise InjectedFault(f"injected clock fault at reading #{self.calls}")
+        return 0.0
 
 
 #: A corpus entry as the loaders consume it.

@@ -5,7 +5,9 @@ from .cluster import Cluster, cluster_results, representatives, type_chain
 from .engine import BatchQuery, GraphSearch, SearchConfig, SearchResult
 from .kernel import (
     CompiledGraph,
+    EnumerationReport,
     KernelDistances,
+    UNREACHABLE,
     compile_graph,
     distances_for,
     kernel_distances,
@@ -13,11 +15,10 @@ from .kernel import (
     kernel_shortest_path,
 )
 from .paths import (
-    EnumerationReport,
-    UNREACHABLE,
     count_paths,
     distances_to,
     enumerate_paths,
+    reference_solve,
     shortest_length,
     shortest_path,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "package_crossings",
     "rank",
     "rank_key",
+    "reference_solve",
     "representatives",
     "shortest_length",
     "shortest_path",

@@ -13,23 +13,22 @@ degradation ladder — full ``m+extra`` window, then ``extra_cost=0``
 window, then a single shortest path per source — and wraps whatever it
 gathered in a :class:`~repro.robustness.QueryOutcome` instead of raising
 or hanging. With no budget configured the engine behaves exactly as the
-paper's tool (and exactly as this module always has).
+paper's tool.
 
-Serving performance comes from four layers on top of that:
+Every query runs on one engine, built from four layers:
 
 * **the compiled kernel** (:mod:`repro.search.kernel`): the live graph is
   lowered once per revision into a CSR snapshot with precomputed integer
   edge costs, and both the backward Dijkstra and the bounded enumeration
-  run as iterative integer loops. ``SearchConfig.use_kernel`` keeps the
-  reference implementation callable for differential testing; wrapped or
-  proxied graphs (fault injectors) always take the reference path.
+  run as iterative integer loops. The recursive walk in
+  :mod:`repro.search.paths` is kept only as the oracle the kernel is
+  tested against; this module never calls it.
 * **ranking inside the kernel**: every part of the rank key except the
   textual tie-break is a function of single steps
   (:func:`~repro.search.ranking.step_rank_parts`). The compiled graph
   keeps those parts per CSR slot, filled on first touch, so a path's key
   is a sum over its slots; the tie-break text is the rendering already
-  made to de-duplicate, so each candidate is rendered once. The
-  reference path combines the same per-step parts, uncached.
+  made to de-duplicate, so each candidate is rendered once.
 * **a bounded LRU distance cache** (:mod:`repro.search.cache`): one
   distance map per recently queried target, dropped wholesale when the
   graph's ``revision`` moves.
@@ -64,20 +63,15 @@ from ..typesystem import JavaType, VOID
 from .cache import DEFAULT_MAX_CACHED_TARGETS, LRUDistanceCache
 from .kernel import (
     CompiledGraph,
+    EnumerationReport,
     KernelDistances,
+    UNREACHABLE,
     compile_graph,
     distances_for,
     kernel_enumerate_paths,
     kernel_shortest_path,
 )
-from .paths import (
-    EnumerationReport,
-    UNREACHABLE,
-    distances_to,
-    enumerate_paths,
-    shortest_path,
-)
-from .ranking import PathRankParts, jungloid_rank_parts, path_rank_parts, step_rank_parts
+from .ranking import PathRankParts, path_rank_parts, step_rank_parts
 
 
 @dataclass(frozen=True)
@@ -99,9 +93,6 @@ class SearchConfig:
     #: Budget fractions reserved for the first two ladder rungs; the
     #: remainder funds the (always-affordable) shortest-path rung.
     ladder_fractions: Tuple[float, float] = (0.7, 0.95)
-    #: Route searches through the compiled CSR kernel. ``False`` forces
-    #: the reference implementation (differential testing / debugging).
-    use_kernel: bool = True
     #: Bound on the per-target distance maps retained between queries.
     max_cached_targets: int = DEFAULT_MAX_CACHED_TARGETS
     #: Demote statically INVIABLE jungloids below JUSTIFIED/PLAUSIBLE
@@ -172,9 +163,8 @@ class GraphSearch:
         self._dist_cache: LRUDistanceCache = LRUDistanceCache(
             max_targets=config.max_cached_targets
         )
-        self._dist_cache_revision = getattr(graph, "revision", 0)
+        self._dist_cache_revision = graph.revision
         self._compiled: Optional[CompiledGraph] = None
-        self._compile_failed_revision: Optional[int] = None
         #: Counting hook: fresh backward-Dijkstra runs (cache misses).
         #: Batch tests assert on this to prove distance maps are shared.
         self.distance_computes = 0
@@ -222,19 +212,17 @@ class GraphSearch:
         """Like :meth:`solve_multi`, but deadline-aware and fault-isolated.
 
         Runs the degradation ladder per source: the full ``m + extra``
-        window first; if the deadline cuts it short (or edge iteration
+        window first; if the deadline cuts it short (or the search
         faults), the cheaper ``extra_cost=0`` window; and finally one
         greedy shortest path, which always completes. The outcome carries
-        ``degraded`` plus a structured reason per cut. With no deadline
-        and no faults the results are identical to the historical
-        :meth:`solve_multi`.
+        ``degraded`` plus a structured reason per cut. A fault before the
+        ladder starts (compiling the graph, the distance map) degrades
+        the outcome too; it never raises. With no deadline and no faults
+        the results are exactly :meth:`solve_multi`'s.
+
+        This is a batch of one: it shares :meth:`solve_batch`'s code path.
         """
-        if deadline is None and self.config.time_budget_ms is not None:
-            deadline = Deadline.after(self.config.time_budget_ms, self.clock)
-        if not self.graph.has_node(t_out):
-            return QueryOutcome(results=(), degraded=False)
-        dist = self._distances(t_out)
-        return self._solve_with_dist(sources, t_out, deadline, dist)
+        return self.solve_batch([BatchQuery(tuple(sources), t_out)], deadline=deadline)[0]
 
     # ------------------------------------------------------------------
     # Batch serving
@@ -306,7 +294,7 @@ class GraphSearch:
         )
 
     # ------------------------------------------------------------------
-    # Core ladder (shared by single-query and batch paths)
+    # Core ladder
     # ------------------------------------------------------------------
 
     def _solve_with_dist(
@@ -314,7 +302,7 @@ class GraphSearch:
         sources: Sequence[JavaType],
         t_out: JavaType,
         deadline: Optional[Deadline],
-        dist,
+        dist: KernelDistances,
         path_memo: Optional[PathMemo] = None,
     ) -> QueryOutcome:
         ranked, reasons, rungs = self._ranked_candidates(
@@ -333,7 +321,7 @@ class GraphSearch:
         sources: Sequence[JavaType],
         t_out: JavaType,
         deadline: Optional[Deadline],
-        dist,
+        dist: KernelDistances,
         path_memo: Optional[PathMemo] = None,
     ) -> Tuple[List[Tuple[RankTuple, SearchResult]], List[DegradationReason], List[str]]:
         """Run the degradation ladder; every candidate with its rank key.
@@ -351,33 +339,18 @@ class GraphSearch:
         sub_full = deadline.fraction(self.config.ladder_fractions[0]) if deadline else None
         sub_zero = deadline.fraction(self.config.ladder_fractions[1]) if deadline else None
         verdicts = self.verdicts if self.config.analysis_ranking else None
-        registry = self.graph.registry
+        # Paths are CSR slot tuples, ranked from per-slot parts.
+        compiled = dist.compiled
+        rank_parts = self._slot_rank_parts(compiled, verdicts)
+        memo = path_memo.setdefault(compiled, {}) if path_memo is not None else {}
 
-        if isinstance(dist, KernelDistances):
-            # Kernel paths are CSR slot tuples, ranked from per-slot parts.
-            compiled = dist.compiled
-            rank_parts = self._slot_rank_parts(compiled, verdicts)
-            memo = path_memo.setdefault(compiled, {}) if path_memo is not None else None
-
-            def to_jungloid(path) -> Jungloid:
-                return SignatureGraph.path_to_jungloid(compiled.edges(path))
-
-        else:
-            # Reference paths are edge tuples, ranked step by step.
-            memo = None
-            to_jungloid = SignatureGraph.path_to_jungloid
-
-            def rank_parts(path, jungloid: Jungloid) -> PathRankParts:
-                return jungloid_rank_parts(registry, jungloid, self.cost_model, verdicts)
-
-        def collect(source: JavaType, paths: Iterable) -> None:
+        def collect(source: JavaType, paths: Iterable[Tuple[int, ...]]) -> None:
             for path in paths:
-                entry = memo.get(path) if memo is not None else None
+                entry = memo.get(path)
                 if entry is None:
-                    jungloid = to_jungloid(path)
+                    jungloid = SignatureGraph.path_to_jungloid(compiled.edges(path))
                     text = jungloid.render_expression("x")
-                    if memo is not None:
-                        memo[path] = (jungloid, text)
+                    memo[path] = (jungloid, text)
                 else:
                     jungloid, text = entry
                 if (source, text) in seen_texts:
@@ -461,7 +434,7 @@ class GraphSearch:
             if not settled:
                 use_rung(RUNG_SHORTEST_PATH)
                 try:
-                    fallback = self._shortest_path(source, t_out, dist)
+                    fallback = kernel_shortest_path(dist.compiled, source, t_out, dist=dist)
                     if fallback is not None:
                         collect(source, [fallback])
                 except Exception as exc:
@@ -493,7 +466,7 @@ class GraphSearch:
         )
 
     # ------------------------------------------------------------------
-    # Kernel / reference dispatch
+    # Kernel plumbing
     # ------------------------------------------------------------------
 
     def _enumerate(
@@ -501,66 +474,31 @@ class GraphSearch:
         source: JavaType,
         t_out: JavaType,
         bound: int,
-        dist,
+        dist: KernelDistances,
         deadline: Optional[Deadline],
         report: EnumerationReport,
-    ):
-        """Bounded enumeration via the kernel when ``dist`` came from it."""
-        if isinstance(dist, KernelDistances):
-            return kernel_enumerate_paths(
-                dist.compiled,
-                source,
-                t_out,
-                bound,
-                dist=dist,
-                max_paths=self.config.max_paths_per_source,
-                deadline=deadline,
-                report=report,
-                check_every=self.config.deadline_check_every,
-            )
-        return enumerate_paths(
-            self.graph,
+    ) -> Iterable[Tuple[int, ...]]:
+        """Bounded kernel enumeration under this engine's caps."""
+        return kernel_enumerate_paths(
+            dist.compiled,
             source,
             t_out,
             bound,
             dist=dist,
             max_paths=self.config.max_paths_per_source,
-            edge_cost=self._edge_cost,
             deadline=deadline,
             report=report,
             check_every=self.config.deadline_check_every,
         )
 
-    def _shortest_path(self, source: JavaType, t_out: JavaType, dist):
-        if isinstance(dist, KernelDistances):
-            return kernel_shortest_path(dist.compiled, source, t_out, dist=dist)
-        return shortest_path(
-            self.graph, source, t_out, dist=dist, edge_cost=self._edge_cost
-        )
+    def _compiled_graph(self) -> CompiledGraph:
+        """The CSR snapshot for the current revision, compiled on demand.
 
-    def _compiled_graph(self) -> Optional[CompiledGraph]:
-        """The CSR snapshot for the current revision, or ``None``.
-
-        ``None`` when the kernel is configured off, when the graph is a
-        wrapper/proxy rather than a real :class:`SignatureGraph` (fault
-        injectors must keep seeing every edge access), or when compiling
-        this revision already failed (the reference path still works).
+        A compile failure propagates; the query paths turn it into a
+        degraded outcome.
         """
-        if not self.config.use_kernel:
-            return None
-        if not isinstance(self.graph, SignatureGraph):
-            return None
-        revision = getattr(self.graph, "revision", 0)
-        if self._compiled is not None and self._compiled.revision == revision:
-            return self._compiled
-        if self._compile_failed_revision == revision:
-            return None
-        try:
+        if self._compiled is None or self._compiled.revision != self.graph.revision:
             self._compiled = compile_graph(self.graph, edge_cost=self._edge_cost)
-        except Exception:
-            self._compile_failed_revision = revision
-            self._compiled = None
-            return None
         return self._compiled
 
     # ------------------------------------------------------------------
@@ -574,26 +512,19 @@ class GraphSearch:
         m = self._distances(t_out).get(t_in, UNREACHABLE)
         return None if m >= UNREACHABLE else m
 
-    def _distances(self, target: Node):
+    def _distances(self, target: Node) -> KernelDistances:
         """The per-target distance map, LRU-cached and revision-guarded.
 
-        Returns a :class:`KernelDistances` when the kernel is active, a
-        plain dict otherwise; both support ``get(node, default)``.
+        ``target`` must be a node of the graph.
         """
-        revision = getattr(self.graph, "revision", 0)
+        revision = self.graph.revision
         if revision != self._dist_cache_revision:
             # The graph changed (e.g. mined paths grafted in or removed).
             # When the graph can bound which targets the mutations touched
             # (delta grafting records an invalidation log), drop only
             # those maps; otherwise distances computed against the old
             # edge set are all potentially stale — flush everything.
-            affected = None
-            probe = getattr(self.graph, "invalidated_targets_since", None)
-            if probe is not None:
-                try:
-                    affected = probe(self._dist_cache_revision)
-                except Exception:
-                    affected = None
+            affected = self.graph.invalidated_targets_since(self._dist_cache_revision)
             if affected is None:
                 self._dist_cache.clear()
             else:
@@ -602,12 +533,7 @@ class GraphSearch:
         cached = self._dist_cache.get(target)
         if cached is not None:
             return cached
-        compiled = self._compiled_graph()
-        fresh = None
-        if compiled is not None:
-            fresh = distances_for(compiled, target)
-        if fresh is None:
-            fresh = distances_to(self.graph, target, edge_cost=self._edge_cost)
+        fresh = distances_for(self._compiled_graph(), target)
         self.distance_computes += 1
         self._dist_cache.put(target, fresh)
         return fresh

@@ -1,12 +1,12 @@
-"""The compiled search kernel: a CSR-lowered graph and iterative search.
+"""The search kernel: a CSR-lowered graph and iterative search.
 
-The reference implementation in :mod:`repro.search.paths` walks the live
-:class:`~repro.graph.SignatureGraph` — a dict-of-list multigraph — with a
-recursive generator DFS, calling an ``edge_cost`` function on every edge
-it touches and hashing full type objects at every step. That is the right
-shape for explaining the algorithm and for differential testing, but it
-is the wrong shape for serving: Section 5 promises interactive answers,
-and the ROADMAP asks for throughput.
+This is the one engine :class:`~repro.search.GraphSearch` runs. The live
+:class:`~repro.graph.SignatureGraph` is a dict-of-list multigraph; walking
+it with a recursive generator, calling the cost model on every edge and
+hashing full type objects at every step, is the right shape for
+explaining the algorithm (:mod:`repro.search.paths` keeps that shape as
+the reference oracle the tests and ``bench-search`` compare against) but
+the wrong shape for serving: Section 5 promises interactive answers.
 
 This module lowers the graph once per :attr:`~repro.graph.SignatureGraph.revision`
 into a flat snapshot:
@@ -24,26 +24,58 @@ into a flat snapshot:
   path's rank key is a sum over its slots.
 
 On top of the snapshot, the backward Dijkstra and the bounded acyclic
-path enumeration are reimplemented as iterative loops (explicit stack).
-The enumeration mirrors the reference recursion *exactly* — the same
-entry checks in the same order, the same per-edge checks, the same
-deadline polling cadence against ``EnumerationReport.expansions`` — so a
-query answered through the kernel yields the same paths in the same
-order as the reference path, including under deadline truncation with a
-:class:`~repro.robustness.ManualClock`. That property is what the
-differential tests in ``tests/test_search_kernel.py`` pin down. Paths
-come out as tuples of CSR slots; :meth:`CompiledGraph.edges` maps them
-back to the edge tuples the reference yields.
+path enumeration run as iterative loops (explicit stack). The
+enumeration mirrors the oracle's recursion *exactly* — the same entry
+checks in the same order, the same per-edge checks, the same deadline
+polling cadence against ``EnumerationReport.expansions`` — so it yields
+the same paths in the same order, including under deadline truncation
+with a :class:`~repro.robustness.ManualClock`. The differential tests in
+``tests/test_search_kernel.py`` pin that down. Paths come out as tuples
+of CSR slots; :meth:`CompiledGraph.edges` maps them back to edges.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..graph import Edge, Node
+from ..graph import Edge, Node, SignatureGraph
 from ..robustness import Deadline
-from .paths import EdgeCost, EnumerationReport, UNREACHABLE, unit_cost
+
+#: Effectively-infinite distance for unreachable nodes.
+UNREACHABLE = 1 << 30
+
+#: An edge-cost function; the default charges 1 per non-widening edge.
+EdgeCost = Callable[[Edge], int]
+
+
+@dataclass
+class EnumerationReport:
+    """How a path enumeration ended (filled in by the callee).
+
+    Generators cannot return status alongside yielded values, so callers
+    that need to know *why* enumeration stopped pass one of these in.
+    """
+
+    #: Paths actually yielded.
+    produced: int = 0
+    #: Node expansions performed by the DFS (counted whether or not a
+    #: deadline is set, so perf reports are meaningful without a budget).
+    expansions: int = 0
+    #: True when a deadline cut the enumeration short (results partial).
+    deadline_expired: bool = False
+    #: True when the ``max_paths`` cap stopped the enumeration.
+    path_cap_hit: bool = False
+
+    @property
+    def truncated(self) -> bool:
+        return self.deadline_expired or self.path_cap_hit
+
+
+def unit_cost(edge: Edge) -> int:
+    """The plain length metric: widening free, everything else 1."""
+    return edge.search_length
 
 
 class CompiledGraph:
@@ -51,7 +83,7 @@ class CompiledGraph:
 
     ``out_edges_ref[i]`` is the live :class:`~repro.graph.Edge` object for
     CSR slot ``i``, so a slot path maps back to the *same* edge objects
-    the reference enumeration yields.
+    the oracle enumeration yields.
 
     The topology is immutable. ``rank_parts`` is the one mutable part: a
     per-slot cache of :func:`~repro.search.ranking.step_rank_parts`,
@@ -114,17 +146,16 @@ class CompiledGraph:
         return len(self.out_edges_ref)
 
 
-def compile_graph(graph, edge_cost: EdgeCost = unit_cost) -> CompiledGraph:
+def compile_graph(
+    graph: SignatureGraph, edge_cost: EdgeCost = unit_cost
+) -> CompiledGraph:
     """Lower ``graph`` into a :class:`CompiledGraph` snapshot.
 
     ``edge_cost`` is evaluated exactly once per edge, here; the search
     loops never call it again. The snapshot records ``graph.revision`` so
     callers can detect staleness after mined paths are grafted in.
     """
-    node_order = getattr(graph, "node_order", None)
-    nodes: Tuple[Node, ...] = (
-        node_order() if callable(node_order) else tuple(graph.nodes)
-    )
+    nodes = graph.node_order()
     node_id = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
 
@@ -155,7 +186,7 @@ def compile_graph(graph, edge_cost: EdgeCost = unit_cost) -> CompiledGraph:
         in_start[vid + 1] = len(in_source)
 
     return CompiledGraph(
-        revision=getattr(graph, "revision", 0),
+        revision=graph.revision,
         nodes=nodes,
         node_id=node_id,
         out_start=out_start,
@@ -171,7 +202,7 @@ def compile_graph(graph, edge_cost: EdgeCost = unit_cost) -> CompiledGraph:
 class KernelDistances:
     """A distance map backed by the kernel's flat integer array.
 
-    Quacks like the ``Dict[Node, int]`` the reference helpers produce —
+    Quacks like the ``Dict[Node, int]`` the oracle's Dijkstra produces —
     ``get(node, default)`` returns ``default`` for unknown or unreachable
     nodes — while the kernel loops index :attr:`arr` directly.
     """
@@ -205,7 +236,7 @@ def kernel_distances(compiled: CompiledGraph, target_id: int) -> List[int]:
 
     Returns a dense array: ``dist[u]`` is the minimum cost from node ``u``
     to the target, :data:`UNREACHABLE` when no path exists. Values equal
-    the reference :func:`~repro.search.paths.distances_to` exactly (same
+    the oracle :func:`~repro.search.paths.distances_to` exactly (same
     edge costs, and Dijkstra's answer is pop-order independent).
     """
     n = len(compiled.nodes)
@@ -299,7 +330,7 @@ def kernel_enumerate_paths(
         node = frame[0]
         ei = frame[2]
         if ei < 0:
-            # Entry checks, in the reference recursion's order.
+            # Entry checks, in the oracle recursion's order.
             if produced >= max_paths:
                 report.path_cap_hit = True
                 leave()
@@ -329,7 +360,7 @@ def kernel_enumerate_paths(
         if ei >= out_start[node + 1]:
             leave()  # out-edge loop exhausted
             continue
-        # Per-edge loop body, in the reference recursion's order.
+        # Per-edge loop body, in the oracle recursion's order.
         if produced >= max_paths:
             report.path_cap_hit = True
             leave()
@@ -386,6 +417,6 @@ def kernel_shortest_path(
                 break
         else:
             # Every optimal edge loops back (zero-cost widening cycles);
-            # give up rather than spin — mirrors the reference.
+            # give up rather than spin — mirrors the oracle.
             return None
     return tuple(path) if path else None

@@ -1,4 +1,4 @@
-"""Bounded acyclic path enumeration over the (signature/jungloid) graph.
+"""The reference search: the oracle the compiled kernel is checked against.
 
 The paper limits search to acyclic paths (all desired solutions observed
 were acyclic) and, per Section 5, constructs all paths of cost ≤ m+1,
@@ -17,53 +17,27 @@ The implementation:
 * a forward depth-first expansion from the source prunes any prefix whose
   cost plus ``dist`` exceeds the bound.
 
-The distance map is computed once per target and shared by every source —
-this is how "running all queries at once" (multi-source search, Section 5)
-costs about the same as one query.
+This module walks the live graph with a recursive generator — the plain
+statement of the algorithm. :class:`~repro.search.GraphSearch` never
+calls it: queries run on the CSR kernel (:mod:`repro.search.kernel`),
+which must match these functions path for path. :func:`reference_solve`
+composes them into a whole unbudgeted query, the answer the differential
+tests and ``bench-search`` hold the engine to.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..graph import Edge, Node, SignatureGraph
+from ..jungloids import CostModel
 from ..robustness import Deadline
-
-#: Effectively-infinite distance for unreachable nodes.
-UNREACHABLE = 1 << 30
-
-#: An edge-cost function; the default charges 1 per non-widening edge.
-EdgeCost = Callable[[Edge], int]
-
-
-@dataclass
-class EnumerationReport:
-    """How an :func:`enumerate_paths` run ended (filled in by the callee).
-
-    Generators cannot return status alongside yielded values, so callers
-    that need to know *why* enumeration stopped pass one of these in.
-    """
-
-    #: Paths actually yielded.
-    produced: int = 0
-    #: Node expansions performed by the DFS (counted whether or not a
-    #: deadline is set, so perf reports are meaningful without a budget).
-    expansions: int = 0
-    #: True when a deadline cut the enumeration short (results partial).
-    deadline_expired: bool = False
-    #: True when the ``max_paths`` cap stopped the enumeration.
-    path_cap_hit: bool = False
-
-    @property
-    def truncated(self) -> bool:
-        return self.deadline_expired or self.path_cap_hit
-
-
-def unit_cost(edge: Edge) -> int:
-    """The plain length metric: widening free, everything else 1."""
-    return edge.search_length
+from ..typesystem import JavaType
+from .engine import SearchConfig, SearchResult
+from .kernel import EdgeCost, EnumerationReport, UNREACHABLE, unit_cost
+from .ranking import viability_rank_key
 
 
 def distances_to(
@@ -243,3 +217,59 @@ def count_paths(
             graph, source, target, max_cost, max_paths=max_paths, edge_cost=edge_cost
         )
     )
+
+
+def reference_solve(
+    graph: SignatureGraph,
+    sources: Sequence[JavaType],
+    target: JavaType,
+    config: SearchConfig,
+    cost_model: CostModel,
+    verdicts=None,
+) -> List[SearchResult]:
+    """The ranked answer to an unbudgeted query, computed the plain way.
+
+    For each distinct source: enumerate every path within
+    ``m + extra_cost`` (capped by ``absolute_max_cost``), render each as
+    a jungloid, keep the first of every ``(source, rendering)`` pair,
+    and rank all sources' survivors together by
+    :func:`~repro.search.ranking.viability_rank_key`, capped at
+    ``max_results``. :meth:`~repro.search.GraphSearch.solve_multi` must
+    return exactly this list.
+    """
+    if not graph.has_node(target):
+        return []
+
+    def edge_cost(edge: Edge) -> int:
+        return cost_model.step_total(edge.elementary)
+
+    if not config.analysis_ranking:
+        verdicts = None
+    ranked = []
+    seen = set()
+    for source in dict.fromkeys(sources):
+        if not graph.has_node(source):
+            continue
+        dist = distances_to(graph, target, edge_cost)
+        m = dist.get(source, UNREACHABLE)
+        if m >= UNREACHABLE:
+            continue
+        bound = min(m + config.extra_cost, config.absolute_max_cost)
+        for path in enumerate_paths(
+            graph,
+            source,
+            target,
+            bound,
+            dist=dist,
+            max_paths=config.max_paths_per_source,
+            edge_cost=edge_cost,
+        ):
+            jungloid = SignatureGraph.path_to_jungloid(path)
+            text = jungloid.render_expression("x")
+            if (source, text) in seen:
+                continue
+            seen.add((source, text))
+            key = viability_rank_key(graph.registry, jungloid, verdicts, cost_model)
+            ranked.append((key, SearchResult(jungloid, source)))
+    ranked.sort(key=itemgetter(0))
+    return [result for _, result in ranked[: config.max_results]]

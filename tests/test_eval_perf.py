@@ -159,18 +159,18 @@ class TestStressGraph:
 
     def test_kernel_agrees_on_stress_graph(self):
         from repro.eval import build_stress_graph
-        from repro.search import GraphSearch, SearchConfig
+        from repro.search import GraphSearch, reference_solve
         from repro.typesystem import named
 
         registry, graph = build_stress_graph(fan_out=3)
         src, dst = named("stress.Source"), named("stress.Target")
-        ref = GraphSearch(graph, config=SearchConfig(use_kernel=False))
-        ker = GraphSearch(graph, config=SearchConfig(use_kernel=True))
-        texts = lambda engine: [
-            j.render_expression("x") for j in engine.solve(src, dst)
-        ]
-        assert texts(ref) == texts(ker)
-        assert len(texts(ker)) == 9
+        search = GraphSearch(graph)
+        texts = lambda results: [r.jungloid.render_expression("x") for r in results]
+        kernel = search.solve_multi([src], dst)
+        oracle = reference_solve(graph, [src], dst, search.config, search.cost_model)
+        assert texts(kernel) == texts(oracle)
+        assert [r.source_type for r in kernel] == [r.source_type for r in oracle]
+        assert len(kernel) == 9
 
 
 class TestSearchPerf:

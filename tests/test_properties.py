@@ -2,7 +2,7 @@
 
 import string
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apispec import SyntheticApiConfig, generate_synthetic_api
 from repro.graph import (
@@ -21,15 +21,20 @@ from repro.jungloids import (
 )
 from repro.minijava.ast import Position
 from repro.mining import ExampleJungloid, generalize_examples, widening_chain
+from repro.robustness import Deadline, ManualClock
 from repro.search import (
+    EnumerationReport,
     GraphSearch,
     distances_to,
     enumerate_paths,
+    kernel_enumerate_paths,
     package_crossings,
     rank,
     rank_key,
+    reference_solve,
 )
 from repro.typesystem import (
+    VOID,
     Method,
     QualifiedName,
     TypeRegistry,
@@ -320,6 +325,60 @@ class TestSearchProperties:
             assert cost >= 0
         # At least one path achieves a cost within the bound.
         assert paths
+
+    # Differential oracle: the kernel-backed engine against the plain
+    # recursive search. Derandomized, so every run draws the same
+    # examples; the recorded seeds below always run first.
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from([0.25, 25.0, 105.0, 60_000.0]),
+    )
+    @example(seed=0, target_index=5, budget_ms=105.0)
+    @example(seed=7, target_index=0, budget_ms=25.0)
+    @example(seed=2005, target_index=3, budget_ms=105.0)
+    @example(seed=9_999, target_index=1, budget_ms=60_000.0)
+    def test_engine_matches_reference_oracle(self, seed, target_index, budget_ms):
+        registry = generate_synthetic_api(
+            SyntheticApiConfig(seed=seed, packages=3, classes_per_package=6, interfaces_per_package=1)
+        )
+        graph = SignatureGraph.from_registry(registry)
+        search = GraphSearch(graph)
+        sources = [registry.lookup("synth.p0.C0"), registry.lookup("synth.p1.C3"), VOID]
+        t_out = registry.lookup(f"synth.p2.C{target_index}")
+        # Ranked answers: identical texts from identical sources.
+        kernel = search.solve_multi(sources, t_out)
+        oracle = reference_solve(graph, sources, t_out, search.config, search.cost_model)
+        assert [(r.jungloid.render_expression("x"), r.source_type) for r in kernel] == [
+            (r.jungloid.render_expression("x"), r.source_type) for r in oracle
+        ]
+        # Enumerators: the same paths and expansions under a deadline.
+        dist = search._distances(t_out)
+        for source in sources:
+            m = dist.get(source)
+            if m is None:
+                continue
+            ref_report, ker_report = EnumerationReport(), EnumerationReport()
+            ref = list(
+                enumerate_paths(
+                    graph, source, t_out, m + 1,
+                    edge_cost=search._edge_cost,
+                    deadline=Deadline.after(budget_ms, ManualClock(tick=0.010)),
+                    report=ref_report, check_every=1,
+                )
+            )
+            ker = [
+                dist.compiled.edges(slots)
+                for slots in kernel_enumerate_paths(
+                    dist.compiled, source, t_out, m + 1, dist=dist,
+                    deadline=Deadline.after(budget_ms, ManualClock(tick=0.010)),
+                    report=ker_report, check_every=1,
+                )
+            ]
+            assert ref == ker
+            assert ref_report.expansions == ker_report.expansions
+            assert ref_report.deadline_expired == ker_report.deadline_expired
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Robustness tests for the search engine: deadlines, the degradation
 ladder, fault isolation, and the distance-cache staleness fix."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.graph import JungloidGraph, SignatureGraph
-from repro.jungloids import Jungloid, downcast
+from repro.jungloids import CostModel, Jungloid, downcast
 from repro.robustness import (
     DEGRADATION_LADDER,
     Deadline,
-    FlakyGraph,
+    FlakyClock,
     InjectedFault,
     ManualClock,
     REASON_DEADLINE,
@@ -21,8 +23,10 @@ from repro.search import (
     EnumerationReport,
     GraphSearch,
     SearchConfig,
+    compile_graph,
     distances_to,
     enumerate_paths,
+    kernel_enumerate_paths,
     shortest_path,
 )
 
@@ -153,26 +157,74 @@ class TestDeadlineDegradation:
         assert len(outcome.results) >= 1
 
 
-class TestFaultIsolation:
-    def test_flaky_graph_degrades_instead_of_raising(self, small_registry):
-        graph = _sig_graph(small_registry)
-        flaky = FlakyGraph(graph, fail_after=2)
-        engine = GraphSearch(flaky)
-        src, dst = _types(small_registry, "demo.io.InputStream", "demo.io.BufferedReader")
-        outcome = engine.solve_multi_outcome([src], dst)  # must not raise
-        assert outcome.degraded
-        codes = {r.code for r in outcome.reasons}
-        assert codes == {REASON_FAULT}
-        # Every ladder rung was attempted, in order, before giving up.
-        assert [r.rung for r in outcome.reasons] == list(DEGRADATION_LADDER)
+@dataclass(frozen=True)
+class _PoisonedCostModel(CostModel):
+    """Raises while weighing one edge, so compiling the graph fails."""
 
-    def test_flaky_graph_raises_through_legacy_api(self, small_registry):
+    def step_total(self, step) -> int:
+        if step.output_type.name.dotted == "demo.io.InputStreamReader":
+            raise InjectedFault("poisoned edge weight")
+        return super().step_total(step)
+
+
+def _flaky_engine(graph, fail_on):
+    """The production engine on a clock that faults at one reading.
+
+    Every deadline poll reads the clock, and polls happen at every
+    expansion, so reading #1 is the query's ``Deadline.after``, #2 the
+    full-window rung's up-front poll and #k (k > 2) its expansion k-2.
+    """
+    return GraphSearch(
+        graph,
+        config=SearchConfig(time_budget_ms=60_000.0, deadline_check_every=1),
+        clock=FlakyClock(fail_on),
+    )
+
+
+def _full_window_readings(search, source, target):
+    """Clock readings one source's full-window rung takes, fault-free."""
+    dist = search._distances(target)
+    report = EnumerationReport()
+    bound = dist[source] + search.config.extra_cost
+    list(kernel_enumerate_paths(dist.compiled, source, target, bound, dist=dist, report=report))
+    return 1 + report.expansions
+
+
+def _texts(results):
+    return [r.jungloid.render_expression("x") for r in results]
+
+
+class TestFaultIsolation:
+    def test_clock_fault_degrades_instead_of_raising(self, small_registry):
+        graph = _sig_graph(small_registry)
+        src, dst = _types(small_registry, "demo.io.InputStream", "demo.io.BufferedReader")
+        # Reading #3: the full-window rung's first expansion, before it
+        # has produced any path.
+        engine = _flaky_engine(graph, fail_on=3)
+        outcome = engine.solve_multi_outcome([src], dst)  # must not raise
+        assert engine._compiled is not None  # the fault hit the kernel
+        assert outcome.degraded
+        assert [(r.code, r.rung) for r in outcome.reasons] == [
+            (REASON_FAULT, RUNG_FULL_WINDOW)
+        ]
+        # The fault fires once, so the zero-extra rung recovers and
+        # answers with exactly the m-window's paths.
+        assert outcome.rungs == (RUNG_FULL_WINDOW, RUNG_ZERO_EXTRA)
+        zero_extra = GraphSearch(graph, config=SearchConfig(extra_cost=0))
+        assert _texts(outcome.results) == _texts(zero_extra.solve_multi([src], dst))
+        assert outcome.results
+
+    def test_flaky_clock_raises_through_kernel_enumerator(self, small_registry):
         # The fault hook itself works: undegraded call sites see the error.
         graph = _sig_graph(small_registry)
-        flaky = FlakyGraph(graph, fail_after=0)
         src, dst = _types(small_registry, "demo.io.InputStream", "demo.io.BufferedReader")
+        deadline = Deadline.after(60_000.0, FlakyClock(fail_on=3))
         with pytest.raises(InjectedFault):
-            list(enumerate_paths(flaky, src, dst, 5, dist=distances_to(graph, dst)))
+            list(
+                kernel_enumerate_paths(
+                    compile_graph(graph), src, dst, 5, deadline=deadline, check_every=1
+                )
+            )
 
     def test_fault_in_one_source_spares_the_others(self, small_registry):
         graph = _sig_graph(small_registry)
@@ -183,15 +235,38 @@ class TestFaultIsolation:
             "demo.io.BufferedReader",
         )
         healthy = GraphSearch(graph).solve_multi([src1, src2], dst)
-        healthy_texts = {r.jungloid.render_expression("x") for r in healthy}
-        # The first source's walk uses 3 out_edges expansions; a budget of
-        # 4 trips the fault during the *second* source's walk.
-        flaky = FlakyGraph(graph, fail_after=4)
-        outcome = GraphSearch(flaky).solve_multi_outcome([src1, src2], dst)
+        # Past the deadline's reading and the first source's whole walk,
+        # then the second source's up-front poll: the fault lands on the
+        # second source's first expansion.
+        fail_on = 1 + _full_window_readings(GraphSearch(graph), src1, dst) + 2
+        engine = _flaky_engine(graph, fail_on)
+        outcome = engine.solve_multi_outcome([src1, src2], dst)
+        assert engine._compiled is not None
         assert outcome.degraded
-        got_texts = {r.jungloid.render_expression("x") for r in outcome.results}
-        assert got_texts  # the healthy portion survived
-        assert got_texts <= healthy_texts
+        assert [(r.code, r.rung) for r in outcome.reasons] == [
+            (REASON_FAULT, RUNG_FULL_WINDOW)
+        ]
+        assert outcome.reasons[0].detail.startswith(f"{src2}:")
+        # The first source is untouched; the second recovers on the
+        # zero-extra rung with a subset of its healthy answers.
+        def by_source(results, source):
+            return _texts(r for r in results if r.source_type == source)
+
+        assert by_source(outcome.results, src1) == by_source(healthy, src1)
+        assert by_source(outcome.results, src2)
+        assert set(by_source(outcome.results, src2)) <= set(by_source(healthy, src2))
+
+    def test_compile_failure_degrades_single_and_batch_queries(self, small_registry):
+        graph = _sig_graph(small_registry)
+        src, dst = _types(small_registry, "demo.io.InputStream", "demo.io.BufferedReader")
+        engine = GraphSearch(graph, cost_model=_PoisonedCostModel())
+        single = engine.solve_multi_outcome([src], dst)  # must not raise
+        (batched,) = engine.solve_batch([(src, dst)])
+        for outcome in (single, batched):
+            assert outcome.degraded
+            assert outcome.results == ()
+            assert [r.code for r in outcome.reasons] == [REASON_FAULT]
+            assert "poisoned edge weight" in outcome.reasons[0].detail
 
 
 class TestDistanceCacheInvalidation:

@@ -9,12 +9,15 @@ only that query.
 
 from repro.graph import SignatureGraph
 from repro.robustness import (
+    FlakyClock,
     InjectedFault,
     ManualClock,
     REASON_DEADLINE,
     REASON_FAULT,
+    RUNG_FULL_WINDOW,
 )
 from repro.search import BatchQuery, GraphSearch, SearchConfig
+from repro.search import engine as engine_module
 from repro.typesystem import VOID, named
 
 
@@ -136,44 +139,26 @@ class TestDistanceSharing:
         assert search.distance_computes == 1
 
 
-class _PoisonedGraph:
-    """Proxy raising on edge access for one specific node only."""
-
-    def __init__(self, graph, poisoned_node, fail_on="out"):
-        self._graph = graph
-        self._poisoned = poisoned_node
-        self._fail_on = fail_on
-
-    def _check(self, kind, node):
-        if kind == self._fail_on and node == self._poisoned:
-            raise InjectedFault(f"poisoned {kind}-edges of {node}")
-
-    def out_edges(self, node):
-        self._check("out", node)
-        return self._graph.out_edges(node)
-
-    def in_edges(self, node):
-        self._check("in", node)
-        return self._graph.in_edges(node)
-
-    def __getattr__(self, name):
-        return getattr(self._graph, name)
-
-
 class TestFaultIsolation:
     def test_faulting_query_degrades_only_itself(self, small_registry):
-        # Poison the forward edges of InputStreamReader: the
-        # InputStream→BufferedReader enumeration must walk through it,
-        # the Panel→ISelection one never touches it.
-        graph = _PoisonedGraph(
-            _graph(small_registry), named("demo.io.InputStreamReader")
+        # Each query mints its own deadline (reading #1) and the
+        # full-window rung polls once up front (#2), then per expansion:
+        # reading #3 faults the first query's first expansion. The clock
+        # raises once, so the second query runs clean.
+        search = GraphSearch(
+            _graph(small_registry),
+            config=SearchConfig(deadline_check_every=1),
+            clock=FlakyClock(fail_on=3),
         )
-        search = GraphSearch(graph)
         bad, good = search.solve_batch(
-            [(IN_STREAM, BUF_READER), (PANEL, SELECTION)]
+            [(IN_STREAM, BUF_READER), (PANEL, SELECTION)], time_budget_ms=60_000.0
         )
+        assert search._compiled is not None  # the fault hit the kernel
         assert bad.degraded
-        assert any(r.code == REASON_FAULT for r in bad.reasons)
+        assert [(r.code, r.rung) for r in bad.reasons] == [
+            (REASON_FAULT, RUNG_FULL_WINDOW)
+        ]
+        assert bad.results  # the zero-extra rung recovered
         assert not good.degraded
         assert good.results
         assert _texts(good) == _texts(
@@ -183,14 +168,19 @@ class TestFaultIsolation:
         )
 
     def test_faulting_dijkstra_cuts_off_only_its_target_group(
-        self, small_registry
+        self, small_registry, monkeypatch
     ):
-        # Poison the *backward* edges of one target: its whole group
-        # faults at the distance-map stage; other targets are untouched.
-        graph = _PoisonedGraph(
-            _graph(small_registry), BUF_READER, fail_on="in"
-        )
-        search = GraphSearch(graph)
+        # Fail the distance map of one target: its whole group faults at
+        # the distance-map stage; other targets are untouched.
+        real = engine_module.distances_for
+
+        def poisoned(compiled, target):
+            if target == BUF_READER:
+                raise InjectedFault(f"poisoned distance map of {target}")
+            return real(compiled, target)
+
+        monkeypatch.setattr(engine_module, "distances_for", poisoned)
+        search = GraphSearch(_graph(small_registry))
         bad1, good, bad2 = search.solve_batch(
             [
                 (IN_STREAM, BUF_READER),
@@ -198,6 +188,7 @@ class TestFaultIsolation:
                 (STRING, BUF_READER),
             ]
         )
+        assert search._compiled is not None
         for bad in (bad1, bad2):
             assert bad.degraded
             assert bad.results == ()

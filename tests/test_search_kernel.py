@@ -1,10 +1,11 @@
 """Differential tests for the compiled search kernel.
 
-The kernel (CSR lowering + iterative loops) must be byte-identical to
-the reference implementation in ``paths.py``: same jungloids, same
-order, same degradation outcomes — including runs a deadline truncates
-partway through. Every test here runs both backends on the same input
-and compares outputs structurally.
+The kernel (CSR lowering + iterative loops) is the only search engine;
+the recursive walk in ``paths.py`` is its oracle. The two must agree
+exactly: the same distances, the same paths in the same order with the
+same expansion counts — including enumerations a deadline truncates
+partway through — and :class:`GraphSearch` must rank exactly the
+answers :func:`reference_solve` does.
 """
 
 from repro.eval import TABLE1_PROBLEMS
@@ -13,34 +14,87 @@ from repro.core import CursorContext
 from repro.core.query import Query
 from repro.graph import JungloidGraph, SignatureGraph
 from repro.jungloids import Jungloid, downcast
-from repro.robustness import Deadline, FlakyGraph, ManualClock
+from repro.robustness import Deadline, ManualClock
 from repro.search import (
     CompiledGraph,
     EnumerationReport,
     GraphSearch,
     KernelDistances,
-    SearchConfig,
     compile_graph,
     distances_for,
     distances_to,
     enumerate_paths,
     kernel_enumerate_paths,
     kernel_shortest_path,
+    reference_solve,
     shortest_path,
     viability_rank_key,
 )
 from repro.typesystem import VOID, named
 
 
-def _pair(graph, **overrides):
-    """A (reference, kernel) engine pair over the same graph."""
-    ref = GraphSearch(graph, config=SearchConfig(use_kernel=False, **overrides))
-    ker = GraphSearch(graph, config=SearchConfig(use_kernel=True, **overrides))
-    return ref, ker
+def _texts(results):
+    return [r.jungloid.render_expression("x") for r in results]
 
 
-def _texts(outcome):
-    return [r.jungloid.render_expression("x") for r in outcome.results]
+def _assert_matches_oracle(search, sources, target):
+    """The engine's ranked answer equals :func:`reference_solve`'s."""
+    outcome = search.solve_multi_outcome(sources, target)
+    expected = reference_solve(
+        search.graph, sources, target, search.config, search.cost_model, search.verdicts
+    )
+    assert _texts(outcome.results) == _texts(expected), target
+    assert [r.source_type for r in outcome.results] == [
+        r.source_type for r in expected
+    ]
+    assert not outcome.degraded and outcome.reasons == ()
+    return outcome
+
+
+#: Deadline budgets (ms) that, on a ``ManualClock(tick=0.010)`` polled at
+#: every expansion, expire up front, at expansion 2, and at expansion 10.
+TRUNCATING_BUDGETS_MS = (0.25, 25.0, 105.0)
+
+
+def _assert_enumerations_agree(search, sources, target):
+    """Kernel and oracle enumerators agree, source by source, at the
+    ``m + extra`` and ``m`` bounds, under deadlines that truncate.
+
+    Each enumerator gets its own ``ManualClock(tick=0.010)`` and polls
+    it at every expansion, so both stop at the same step. Returns how
+    many runs the deadline cut short after some paths came out.
+    """
+    graph = search.graph
+    dist = search._distances(target)
+    partial = 0
+    for source in sources:
+        m = dist.get(source)
+        if m is None:
+            continue
+        for bound in (m + search.config.extra_cost, m):
+            for budget_ms in TRUNCATING_BUDGETS_MS:
+                ref_rep, ker_rep = EnumerationReport(), EnumerationReport()
+                ref = list(
+                    enumerate_paths(
+                        graph, source, target, bound,
+                        edge_cost=search._edge_cost,
+                        deadline=Deadline.after(budget_ms, ManualClock(tick=0.010)),
+                        report=ref_rep, check_every=1,
+                    )
+                )
+                ker = [
+                    dist.compiled.edges(slots)
+                    for slots in kernel_enumerate_paths(
+                        dist.compiled, source, target, bound, dist=dist,
+                        deadline=Deadline.after(budget_ms, ManualClock(tick=0.010)),
+                        report=ker_rep, check_every=1,
+                    )
+                ]
+                assert ref == ker, (source, target, bound, budget_ms)
+                assert ref_rep.expansions == ker_rep.expansions
+                assert ref_rep.deadline_expired == ker_rep.deadline_expired
+                partial += ker_rep.deadline_expired and bool(ker)
+    return partial
 
 
 def _keyed(search, sources, target):
@@ -227,21 +281,10 @@ class TestEnumerationParity:
 
 class TestEngineDispatch:
     def test_kernel_engine_serves_kernel_distances(self, small_registry):
-        graph = SignatureGraph.from_registry(small_registry)
-        ref, ker = _pair(graph)
-        dst = named("demo.io.BufferedReader")
-        assert isinstance(ker._distances(dst), KernelDistances)
-        assert isinstance(ref._distances(dst), dict)
-
-    def test_proxied_graph_takes_reference_path(self, small_registry):
-        graph = FlakyGraph(
-            SignatureGraph.from_registry(small_registry), fail_after=10**9
-        )
-        search = GraphSearch(graph)  # use_kernel=True by default
-        assert search._compiled_graph() is None
-        assert isinstance(
-            search._distances(named("demo.io.BufferedReader")), dict
-        )
+        search = GraphSearch(SignatureGraph.from_registry(small_registry))
+        distances = search._distances(named("demo.io.BufferedReader"))
+        assert isinstance(distances, KernelDistances)
+        assert distances.compiled is search._compiled
 
     def test_compile_invalidated_on_revision_bump(self, small_registry):
         graph = JungloidGraph.build(small_registry)
@@ -263,48 +306,22 @@ class TestDifferentialTable1:
     """The acceptance gate: byte-identical ranked output on Table 1."""
 
     def test_every_query_identical(self, standard_prospector):
-        graph = standard_prospector.search.graph
+        search = standard_prospector.search
         registry = standard_prospector.registry
-        ref, ker = _pair(graph)
+        answered = 0
         for problem in TABLE1_PROBLEMS:
             q = Query.of(registry, problem.t_in, problem.t_out)
-            a = ref.solve_multi_outcome([q.t_in], q.t_out)
-            b = ker.solve_multi_outcome([q.t_in], q.t_out)
-            assert _texts(a) == _texts(b), f"problem {problem.id} diverged"
-            assert [r.source_type for r in a.results] == [
-                r.source_type for r in b.results
-            ]
-            assert a.degraded == b.degraded == False  # noqa: E712
-            assert a.reasons == b.reasons
+            answered += bool(_assert_matches_oracle(search, [q.t_in], q.t_out).results)
+        assert answered >= 18
 
     def test_deadline_truncated_queries_identical(self, standard_prospector):
-        graph = standard_prospector.search.graph
+        search = standard_prospector.search
         registry = standard_prospector.registry
-        ref, ker = _pair(graph, deadline_check_every=1)
+        partial = 0
         for problem in TABLE1_PROBLEMS[:6]:
             q = Query.of(registry, problem.t_in, problem.t_out)
-            a = ref.solve_multi_outcome(
-                [q.t_in],
-                q.t_out,
-                deadline=Deadline.after(0.25, ManualClock(tick=0.010)),
-            )
-            b = ker.solve_multi_outcome(
-                [q.t_in],
-                q.t_out,
-                deadline=Deadline.after(0.25, ManualClock(tick=0.010)),
-            )
-            assert _texts(a) == _texts(b), f"problem {problem.id} diverged"
-            assert a.degraded == b.degraded
-            assert [(r.code, r.rung) for r in a.reasons] == [
-                (r.code, r.rung) for r in b.reasons
-            ]
-            assert a.rungs == b.rungs
-
-    def test_kernel_flag_off_bypasses_kernel(self, standard_prospector):
-        graph = standard_prospector.search.graph
-        ref, _ = _pair(graph)
-        ref.solve(named("java.io.InputStream"), named("java.io.BufferedReader"))
-        assert ref._compiled is None
+            partial += _assert_enumerations_agree(search, [q.t_in], q.t_out)
+        assert partial  # some deadlines cut in after paths came out
 
 
 class TestKernelRankKeys:
@@ -356,14 +373,6 @@ class TestKernelRankKeys:
             for _, result in widening
         )
 
-    def test_kernel_keys_equal_reference_keys(self, standard_prospector):
-        ref, ker = _pair(standard_prospector.graph)
-        ref.verdicts = ker.verdicts = standard_prospector.verdicts
-        for sources, target in _standard_requests(standard_prospector):
-            a = [(key, r.source_type) for key, r in _keyed(ref, sources, target)]
-            b = [(key, r.source_type) for key, r in _keyed(ker, sources, target)]
-            assert a == b, target
-
     def test_slot_parts_fill_lazily(self, small_registry):
         graph = SignatureGraph.from_registry(small_registry)
         search = GraphSearch(graph)
@@ -375,43 +384,33 @@ class TestKernelRankKeys:
 
 
 class TestDifferentialRanked:
-    """Ranked output, kernel vs reference, beyond single Table-1 queries."""
+    """Ranked output, engine vs oracle, beyond single Table-1 queries."""
 
     def test_completion_contexts_identical(self, standard_prospector):
-        ref, ker = _pair(standard_prospector.graph)
+        search = standard_prospector.search
         registry = standard_prospector.registry
         for target, visible in CONTEXTS:
             context = CursorContext.at_assignment(registry, target, visible=visible)
-            a = ref.solve_multi_outcome(context.source_types(), context.target_type)
-            b = ker.solve_multi_outcome(context.source_types(), context.target_type)
-            assert _texts(a) == _texts(b)
-            assert [r.source_type for r in a.results] == [
-                r.source_type for r in b.results
-            ]
-            assert VOID in {r.source_type for r in b.results}
+            outcome = _assert_matches_oracle(
+                search, context.source_types(), context.target_type
+            )
+            assert VOID in {r.source_type for r in outcome.results}
 
     def test_deadline_truncated_completions_identical(self, standard_prospector):
-        ref, ker = _pair(standard_prospector.graph, deadline_check_every=1)
+        search = standard_prospector.search
         registry = standard_prospector.registry
+        partial = 0
         for target, visible in CONTEXTS:
             context = CursorContext.at_assignment(registry, target, visible=visible)
-            outcomes = [
-                engine.solve_multi_outcome(
-                    context.source_types(),
-                    context.target_type,
-                    deadline=Deadline.after(0.25, ManualClock(tick=0.010)),
-                )
-                for engine in (ref, ker)
-            ]
-            a, b = outcomes
-            assert a.degraded and b.degraded
-            assert _texts(a) == _texts(b)
-            assert a.rungs == b.rungs
+            partial += _assert_enumerations_agree(
+                search, context.source_types(), context.target_type
+            )
+        assert partial
 
     def test_stress_graph_identical(self):
         _, graph = build_stress_graph()
-        ref, ker = _pair(graph)
-        a = ref.solve_multi_outcome([named("stress.Source")], named("stress.Target"))
-        b = ker.solve_multi_outcome([named("stress.Source")], named("stress.Target"))
-        assert _texts(a) == _texts(b)
-        assert len(b.results) == ker.config.max_results
+        search = GraphSearch(graph)
+        outcome = _assert_matches_oracle(
+            search, [named("stress.Source")], named("stress.Target")
+        )
+        assert len(outcome.results) == search.config.max_results

@@ -4,6 +4,12 @@ Wires everything together: API registry → (optional) corpus mining →
 jungloid graph → ranked query answering → code generation. Mirrors the
 tool of Section 5, minus the Eclipse GUI: :meth:`query` is the search
 engine, :meth:`complete` is the content-assist integration.
+
+A :class:`Prospector` is one of two kinds. A *pipeline-backed* one owns
+a :class:`~repro.pipeline.CorpusPipeline`, which holds its corpus,
+mining result and graph and can update them incrementally. A
+*graph-only* one has no corpus: it was built from the registry alone, or
+started from a snapshot without a usable stage sidecar.
 """
 
 from __future__ import annotations
@@ -13,17 +19,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from ..analysis import CastVerdictIndex, JungloidVerdict, analyze_corpus
+from ..analysis import CastVerdictIndex, JungloidVerdict
 from ..corpus import CorpusProgram, load_corpus_texts
 from ..graph import JungloidGraph, graph_stats
 from ..jungloids import CostModel, DEFAULT_COST_MODEL, Jungloid
-from ..mining import (
-    ArgumentExample,
-    ArgumentMiner,
-    ExtractionConfig,
-    MiningResult,
-    mine_corpus,
-)
+from ..mining import ArgumentExample, ArgumentMiner, ExtractionConfig, MiningResult
 from ..robustness import (
     Clock,
     CorpusDiagnostics,
@@ -42,7 +42,7 @@ from ..store import (
     save_stage_sidecar,
     try_load_stage_sidecar,
 )
-from ..typesystem import Method, TypeRegistry, VOID
+from ..typesystem import TypeRegistry
 from .context import CursorContext
 from .query import Query, TypeSpec, resolve_type_spec
 from .results import Synthesis
@@ -72,71 +72,41 @@ class Prospector:
         corpus: Optional[CorpusProgram] = None,
         config: ProspectorConfig = ProspectorConfig(),
         clock: Clock = SYSTEM_CLOCK,
-        mined: Optional[Sequence[Jungloid]] = None,
+        graph: Optional[JungloidGraph] = None,
         store_diagnostics: Optional[StoreDiagnostics] = None,
         pipeline: Optional[CorpusPipeline] = None,
     ):
+        """``corpus`` (a loaded program) or ``pipeline`` makes a
+        pipeline-backed instance; ``pipeline`` wins when both are given.
+        Without either the instance is graph-only, over ``graph`` or,
+        when that is None too, over the registry's signature graph."""
         self.registry = registry
         self.config = config
-        self.corpus = corpus
         self.clock = clock
         #: Recovery report when this instance came from a snapshot load.
         self.store_diagnostics = store_diagnostics
-        #: The staged incremental pipeline, when the corpus carries its
-        #: raw texts (the normal load path); :meth:`update_corpus` needs it.
-        self.pipeline: Optional[CorpusPipeline] = pipeline
-        if mined is not None:
-            # Pre-mined jungloids (snapshot fast-start): skip extraction.
-            self.mining: Optional[MiningResult] = None
-            mined_list = list(mined)
-        elif pipeline is not None:
-            self.mining = pipeline.mining
-            self.corpus = pipeline.program
-            mined_list = list(pipeline.suffixes)
-        elif corpus is not None and corpus.texts:
-            self.pipeline = CorpusPipeline.from_program(
+        if pipeline is None and corpus is not None:
+            pipeline = CorpusPipeline.from_program(
                 registry,
                 corpus,
                 extraction=config.extraction,
                 public_only=config.public_only,
             )
-            self.mining = self.pipeline.mining
-            self.corpus = self.pipeline.program
-            mined_list = list(self.pipeline.suffixes)
-        elif corpus is not None:
-            # Legacy path: a hand-assembled program without source texts
-            # cannot be fingerprinted, so it mines monolithically.
-            self.mining = mine_corpus(
-                corpus.registry,
-                corpus.units,
-                corpus.corpus_types,
-                config=config.extraction,
-            )
-            mined_list = list(self.mining.suffixes)
-        else:
-            self.mining = None
-            mined_list = []
-        #: The mined jungloids the graph was spliced with — what a
-        #: snapshot persists alongside the registry.
-        self.mined_jungloids: Tuple[Jungloid, ...] = tuple(mined_list)
-        if self.pipeline is not None and self.pipeline.graph is not None:
-            self.graph = self.pipeline.graph
-        else:
-            self.graph = JungloidGraph.build(
-                registry, mined_list, public_only=config.public_only
-            )
-        #: Cast-verdict index, sourced best-available: the pipeline's
-        #: precomputed index, a direct analysis of a legacy corpus, or
-        #: None (snapshot instances adopt theirs via set_verdicts).
-        if self.pipeline is not None:
-            self.verdicts: Optional[CastVerdictIndex] = self.pipeline.verdicts
-        elif self.corpus is not None and self.mining is not None:
-            self.verdicts = analyze_corpus(
-                self.corpus.registry, self.corpus.units, self.corpus.corpus_types
-            )
-        else:
-            self.verdicts = None
+        #: The staged pipeline owning corpus, mining and graph; ``None``
+        #: for a graph-only instance (:meth:`update_corpus` needs it).
+        self.pipeline: Optional[CorpusPipeline] = pipeline
+        if pipeline is not None:
+            graph = None
+        elif graph is None:
+            graph = JungloidGraph.build(registry, (), public_only=config.public_only)
+        self._graph = graph
+        #: Cast-verdict index: the pipeline's, or None until a snapshot
+        #: start adopts its header's via :meth:`set_verdicts`.
+        self.verdicts: Optional[CastVerdictIndex] = (
+            pipeline.verdicts if pipeline is not None else None
+        )
         self._fallback_verdicts: Optional[CastVerdictIndex] = None
+        self._argument_examples_cache: Optional[List[ArgumentExample]] = None
         self.search = GraphSearch(
             self.graph,
             cost_model=config.cost_model,
@@ -144,6 +114,30 @@ class Prospector:
             clock=clock,
             verdicts=self.verdicts,
         )
+
+    # ------------------------------------------------------------------
+    # State owned by the pipeline (or, graph-only, by the graph)
+    # ------------------------------------------------------------------
+
+    @property
+    def graph(self) -> JungloidGraph:
+        return self.pipeline.graph if self.pipeline is not None else self._graph
+
+    @property
+    def corpus(self) -> Optional[CorpusProgram]:
+        return self.pipeline.program if self.pipeline is not None else None
+
+    @property
+    def mining(self) -> Optional[MiningResult]:
+        return self.pipeline.mining if self.pipeline is not None else None
+
+    @property
+    def mined_jungloids(self) -> Tuple[Jungloid, ...]:
+        """The mined jungloids the graph was spliced with — what a
+        snapshot persists alongside the registry."""
+        if self.pipeline is not None:
+            return self.pipeline.suffixes
+        return tuple(Jungloid(key) for key in self._graph.mined_suffix_keys())
 
     # ------------------------------------------------------------------
     # Construction conveniences
@@ -176,7 +170,6 @@ class Prospector:
         max_rebuild_attempts: int = 3,
         backoff_ms: float = 50.0,
         sleep: Optional[Callable[[float], None]] = None,
-        load_stages: bool = True,
     ) -> "Prospector":
         """Fast-start from a persisted snapshot, surviving damage.
 
@@ -185,14 +178,16 @@ class Prospector:
         rung taken and every fault en route are available afterwards on
         :attr:`store_diagnostics`. Raises
         :class:`~repro.store.StoreRecoveryError` only if every rung
-        fails.
+        fails. The graph the load audit built is reused when its
+        ``public_only`` matches the config's.
 
-        When ``load_stages`` is true and a stage sidecar sits next to
-        the snapshot, the incremental pipeline is rehydrated from it so
+        When a stage sidecar sits next to the snapshot, the incremental
+        pipeline is rehydrated from it over that graph, so
         :meth:`update_corpus` stays incremental across restarts. A
-        missing or damaged sidecar silently degrades to a query-only
-        instance (updates then rebuild from scratch) — the sidecar is
-        an accelerator, never a correctness dependency.
+        missing or damaged sidecar silently degrades to a graph-only
+        instance carrying the snapshot's verdicts (updates then rebuild
+        from scratch) — the sidecar is an accelerator, never a
+        correctness dependency.
         """
         store = SnapshotStore(path)
         recovered: RecoveredStore = load_with_recovery(
@@ -202,54 +197,40 @@ class Prospector:
             backoff_ms=backoff_ms,
             sleep=sleep,
         )
+        graph = recovered.graph
+        if graph is None or recovered.public_only != config.public_only:
+            graph = JungloidGraph.build(
+                recovered.registry, recovered.mined, public_only=config.public_only
+            )
+        pipeline = None
+        data = try_load_stage_sidecar(path)
+        if data is not None:
+            try:
+                pipeline = CorpusPipeline.from_artifacts(
+                    recovered.registry,
+                    data,
+                    graph=graph,
+                    extraction=config.extraction,
+                    public_only=config.public_only,
+                )
+            except Exception:
+                pipeline = None  # damage or format drift: stay graph-only
         prospector = cls(
             recovered.registry,
-            None,
-            config,
-            clock,
-            mined=recovered.mined,
+            config=config,
+            clock=clock,
+            graph=graph,
             store_diagnostics=recovered.diagnostics,
+            pipeline=pipeline,
         )
-        if recovered.analysis is not None:
+        if pipeline is None and recovered.analysis is not None:
             try:
                 prospector.set_verdicts(
-                    CastVerdictIndex.from_dict(
-                        prospector.registry, recovered.analysis
-                    )
+                    CastVerdictIndex.from_dict(recovered.registry, recovered.analysis)
                 )
             except Exception:
                 pass  # malformed header analysis: stay verdict-less
-        if load_stages:
-            prospector._adopt_stage_sidecar(path)
         return prospector
-
-    def _adopt_stage_sidecar(self, path: os.PathLike) -> bool:
-        """Rehydrate :attr:`pipeline` from a snapshot's stage sidecar.
-
-        Best-effort: any damage or format drift leaves the instance as
-        loaded (snapshot answers stay authoritative) and returns False.
-        """
-        data = try_load_stage_sidecar(path)
-        if data is None:
-            return False
-        try:
-            pipeline = CorpusPipeline.from_artifacts(
-                self.registry,
-                data,
-                graph=self.graph,
-                extraction=self.config.extraction,
-                public_only=self.config.public_only,
-            )
-        except Exception:
-            return False
-        self.pipeline = pipeline
-        self.mining = pipeline.mining
-        self.corpus = pipeline.program
-        self.mined_jungloids = tuple(pipeline.suffixes)
-        if pipeline.verdicts is not None:
-            self.set_verdicts(pipeline.verdicts)
-        self._argument_examples_cache = None
-        return True
 
     def save_snapshot(self, path: os.PathLike, rotate: bool = True) -> SnapshotManifest:
         """Persist the registry + mined jungloids atomically (with
@@ -298,25 +279,10 @@ class Prospector:
                 "was built without corpus texts or a usable stage sidecar"
             )
         stats = self.pipeline.update(upserts, removes)
-        self.mining = self.pipeline.mining
-        self.corpus = self.pipeline.program
-        self.mined_jungloids = tuple(self.pipeline.suffixes)
-        self.graph = self.pipeline.graph
-        if self.search.graph is not self.graph:
-            self.search = GraphSearch(
-                self.graph,
-                cost_model=self.config.cost_model,
-                config=self.config.search,
-                clock=self.clock,
-                verdicts=self.pipeline.verdicts,
-            )
-            self.verdicts = self.pipeline.verdicts
-            self._fallback_verdicts = None
-        else:
-            # Same graph object, possibly new verdicts: swap the index
-            # (the engine re-derives its per-edge rank parts, which
-            # embed the previous index's demotion buckets).
-            self.set_verdicts(self.pipeline.verdicts)
+        # The pipeline grafts into the same graph object; swap in its
+        # verdicts (the engine re-derives its per-edge rank parts, which
+        # embed the previous index's demotion buckets).
+        self.set_verdicts(self.pipeline.verdicts)
         self._argument_examples_cache = None
         return stats
 
@@ -471,17 +437,14 @@ class Prospector:
     # ------------------------------------------------------------------
 
     def _argument_examples(self) -> List[ArgumentExample]:
-        if self.corpus is None:
+        corpus = self.corpus
+        if corpus is None:
             return []
-        cached = getattr(self, "_argument_examples_cache", None)
-        if cached is None:
-            cached = ArgumentMiner(
-                self.corpus.registry,
-                self.corpus.units,
-                self.corpus.corpus_types,
+        if self._argument_examples_cache is None:
+            self._argument_examples_cache = ArgumentMiner(
+                corpus.registry, corpus.units, corpus.corpus_types
             ).mine_arguments()
-            self._argument_examples_cache = cached
-        return cached
+        return self._argument_examples_cache
 
     def suggest_arguments(
         self, owner: TypeSpec, method_name: str, parameter_index: int = 0

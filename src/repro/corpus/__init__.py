@@ -8,6 +8,7 @@ from .loader import (
     load_corpus_files,
     load_corpus_texts,
     resolve_and_check_lenient,
+    resolve_corpus,
 )
 
 __all__ = [
@@ -19,4 +20,5 @@ __all__ = [
     "load_corpus_files",
     "load_corpus_texts",
     "resolve_and_check_lenient",
+    "resolve_corpus",
 ]

@@ -95,20 +95,60 @@ def load_corpus_texts(
     instead of raising.
     """
     texts = list(texts)
+    units: List[CompilationUnit] = []
+    parse_faults: List[Tuple[str, Exception]] = []
+    for source, text in texts:
+        try:
+            units.append(parse_minijava(text, source))
+        except MiniJavaError as exc:
+            if not lenient:
+                raise
+            parse_faults.append((source, exc))
+    return resolve_corpus(
+        api_registry, units, texts, check=check, lenient=lenient,
+        parse_faults=parse_faults,
+    )
+
+
+def resolve_corpus(
+    api_registry: TypeRegistry,
+    units: Sequence[CompilationUnit],
+    texts: Sequence[Tuple[str, str]],
+    check: bool = True,
+    lenient: bool = False,
+    parse_faults: Sequence[Tuple[str, Exception]] = (),
+) -> CorpusProgram:
+    """Resolve (and optionally check) parsed units into a program.
+
+    The one resolve step behind :func:`load_corpus_texts` and the
+    incremental pipeline's re-sync. Strict mode raises on the first
+    resolution or check failure; lenient mode records ``parse_faults``
+    (``(source, error)`` pairs from the caller's parse) ahead of any
+    resolve/check quarantine, and loads the healthy remainder.
+    """
+    diagnostics: Optional[CorpusDiagnostics] = None
     if lenient:
-        return _load_corpus_texts_lenient(api_registry, texts, check=check)
-    registry = clone_registry(api_registry)
-    units = [parse_minijava(text, source) for source, text in texts]
-    corpus_types = resolve_program(registry, units)
-    report = check_program(registry, units) if check else None
-    if report is not None:
-        report.raise_if_failed()
+        diagnostics = CorpusDiagnostics()
+        for source, exc in parse_faults:
+            diagnostics.record(source, PHASE_PARSE, exc)
+        registry, units, corpus_types, report = resolve_and_check_lenient(
+            api_registry, units, diagnostics, check=check
+        )
+        diagnostics.loaded = [u.source for u in units]
+    else:
+        registry = clone_registry(api_registry)
+        units = list(units)
+        corpus_types = resolve_program(registry, units)
+        report = check_program(registry, units) if check else None
+        if report is not None:
+            report.raise_if_failed()
     return CorpusProgram(
         units=units,
         registry=registry,
         corpus_types=corpus_types,
         check_report=report,
-        texts=texts,
+        diagnostics=diagnostics,
+        texts=list(texts),
     )
 
 
@@ -150,34 +190,6 @@ def load_corpus_files(
 # ----------------------------------------------------------------------
 
 
-def _load_corpus_texts_lenient(
-    api_registry: TypeRegistry, texts: Iterable[Tuple[str, str]], check: bool
-) -> CorpusProgram:
-    texts = list(texts)
-    diagnostics = CorpusDiagnostics()
-
-    units: List[CompilationUnit] = []
-    for source, text in texts:
-        try:
-            units.append(parse_minijava(text, source))
-        except MiniJavaError as exc:
-            diagnostics.record(source, PHASE_PARSE, exc)
-
-    registry, units, corpus_types, report = resolve_and_check_lenient(
-        api_registry, units, diagnostics, check=check
-    )
-
-    diagnostics.loaded = [u.source for u in units]
-    return CorpusProgram(
-        units=units,
-        registry=registry,
-        corpus_types=corpus_types,
-        check_report=report,
-        diagnostics=diagnostics,
-        texts=texts,
-    )
-
-
 def resolve_and_check_lenient(
     api_registry: TypeRegistry,
     units: Sequence[CompilationUnit],
@@ -186,9 +198,8 @@ def resolve_and_check_lenient(
 ) -> Tuple[TypeRegistry, List[CompilationUnit], List[NamedType], Optional[CheckReport]]:
     """Resolve (and optionally check) parsed units with fault quarantine.
 
-    The resolution/check half of the lenient load, factored out so the
-    incremental pipeline can re-run it over cached parsed units without
-    re-reading or re-parsing anything.
+    The lenient half of :func:`resolve_corpus`; the linter calls it
+    directly to resolve without checking.
     """
     registry, units, corpus_types = _resolve_lenient(api_registry, units, diagnostics)
 

@@ -121,6 +121,7 @@ def stages_to_dict(
     extraction_config: dict,
     min_precast_steps: int,
     lenient: bool,
+    check: bool,
 ) -> dict:
     """The persistable form of the pipeline's staged state."""
     return {
@@ -130,6 +131,7 @@ def stages_to_dict(
         "extraction_config": dict(extraction_config),
         "min_precast_steps": int(min_precast_steps),
         "lenient": bool(lenient),
+        "check": bool(check),
     }
 
 

@@ -1,8 +1,11 @@
 """The staged, incremental corpus → jungloid-graph pipeline.
 
-:class:`CorpusPipeline` decomposes the historical
-``mine_corpus → JungloidGraph.build`` monolith into explicit stages with
-cached, fingerprinted artifacts:
+:class:`CorpusPipeline` is the one thing that turns a corpus into a
+:class:`~repro.graph.JungloidGraph`: every corpus-backed
+:class:`~repro.core.Prospector` owns one, whether built from a loaded
+program (:meth:`CorpusPipeline.from_program`) or rehydrated over a
+snapshot's graph (:meth:`CorpusPipeline.from_artifacts`). The build runs
+as explicit stages with cached, fingerprinted artifacts:
 
 1. **fingerprint** — SHA-256 every corpus file; diff against the last
    sync. Identical content means identical downstream artifacts.
@@ -10,9 +13,10 @@ cached, fingerprinted artifacts:
    files are re-parsed (lenient mode quarantines parse failures exactly
    like :func:`repro.corpus.load_corpus_texts`).
 3. **resolve/check** — always re-run over *all* live units (cheap, and
-   re-resolution is idempotent on cached ASTs); lenient quarantine
-   semantics are shared with the corpus loader via
-   :func:`repro.corpus.resolve_and_check_lenient`.
+   re-resolution is idempotent on cached ASTs) through
+   :func:`repro.corpus.resolve_corpus`, the same strict/lenient step the
+   corpus loader runs. A program the loader already resolved from the
+   same units is adopted instead, so a cold build resolves once.
 4. **mine** — per-file example extraction, cached per fingerprint plus
    the file's recorded slicing dependencies (inlined client bodies, CHA
    caller sets, referenced corpus-type hierarchy). Only files whose
@@ -35,16 +39,16 @@ compiled search kernel don't move at all.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.castsafety import CastAnalyzer, CastObservation, build_verdict_index
 from ..analysis.verdicts import CastVerdictIndex
-from ..corpus import CorpusProgram, clone_registry, resolve_and_check_lenient
+from ..corpus import CorpusProgram, resolve_corpus
 from ..graph import JungloidGraph
 from ..graph.jungloid_graph import MinedDelta
 from ..jungloids import Jungloid
-from ..minijava import MiniJavaError, check_program, parse_minijava, resolve_program
+from ..minijava import MiniJavaError, parse_minijava
 from ..minijava.ast import CastExpr, CompilationUnit, method_expressions
 from ..minijava.callgraph import CallGraph, CallSite, build_call_graph
 from ..mining import (
@@ -54,7 +58,6 @@ from ..mining import (
     MiningResult,
     unique_suffixes,
 )
-from ..robustness import CorpusDiagnostics, PHASE_PARSE
 from ..typesystem import ArrayType, Method, NamedType, TypeRegistry
 from .artifacts import FileMineRecord, StageFormatError, check_stage_dict, stages_to_dict
 from .delta import SuffixKey, compute_suffix_delta, suffix_map
@@ -326,13 +329,14 @@ class CorpusPipeline:
         min_precast_steps: int = 1,
         public_only: bool = True,
     ) -> "CorpusPipeline":
-        """Adopt an already-loaded corpus program (must carry its texts).
+        """Adopt an already-loaded corpus program.
 
-        Load discipline is inferred from the program: a quarantine
-        report means it was loaded leniently, a check report means
-        checking was on.
+        The program must carry the texts its units were parsed from (an
+        empty program is fine). Load discipline is inferred from the
+        program: a quarantine report means it was loaded leniently, a
+        check report means checking was on.
         """
-        if not program.texts:
+        if program.units and not program.texts:
             raise ValueError("program has no retained texts; cannot build a pipeline")
         pipeline = cls(
             api_registry,
@@ -358,7 +362,6 @@ class CorpusPipeline:
         data: dict,
         graph: Optional[JungloidGraph] = None,
         extraction: Optional[ExtractionConfig] = None,
-        check: bool = True,
         public_only: bool = True,
     ) -> "CorpusPipeline":
         """Rebuild a pipeline from persisted stage artifacts.
@@ -371,7 +374,8 @@ class CorpusPipeline:
         tampered or stale sidecar degrades to re-mining, never to wrong
         answers. Passing ``extraction`` different from the persisted
         config discards the cached examples (they were mined under other
-        budgets).
+        budgets). The load discipline (``lenient``, ``check``) is the
+        persisted one; artifacts that predate a key read its default.
         """
         data = check_stage_dict(data)
         try:
@@ -384,7 +388,7 @@ class CorpusPipeline:
             extraction=config,
             min_precast_steps=int(data["min_precast_steps"]),
             lenient=bool(data.get("lenient", True)),
-            check=check,
+            check=bool(data.get("check", True)),
             public_only=public_only,
         )
         if config == stored:
@@ -424,6 +428,7 @@ class CorpusPipeline:
             asdict(self.extraction),
             self.min_precast_steps,
             self.lenient,
+            self.check,
         )
 
     # ------------------------------------------------------------------
@@ -472,8 +477,9 @@ class CorpusPipeline:
 
         ``resolved`` is a program already resolved and checked from these
         texts; when every live unit is one of its units, its registry,
-        client types and check report are adopted instead of resolving
-        the corpus a second time.
+        client types, check report and quarantine report (which may hold
+        read faults of files that never had a text) are adopted instead
+        of resolving the corpus a second time.
         """
         texts = [(str(s), t) for s, t in texts]
         stats = PipelineUpdateStats(initial=self.graph is None)
@@ -530,36 +536,20 @@ class CorpusPipeline:
 
         # -- Stage 3: resolve + check (always over all live units) ------
         t0 = _now_ms()
-        diagnostics: Optional[CorpusDiagnostics] = None
         if resolved is not None and not parse_faults and _same_units(units_all, resolved.units):
-            registry = resolved.registry
-            units = list(units_all)
-            corpus_types = list(resolved.corpus_types)
-            report = resolved.check_report
-            if self.lenient:
-                diagnostics = CorpusDiagnostics(loaded=[u.source for u in units])
-        elif self.lenient:
-            diagnostics = CorpusDiagnostics()
-            for source, exc in parse_faults:
-                diagnostics.record(source, PHASE_PARSE, exc)
-            registry, units, corpus_types, report = resolve_and_check_lenient(
-                self.api_registry, units_all, diagnostics, check=self.check
+            program = replace(
+                resolved,
+                units=list(units_all),
+                corpus_types=list(resolved.corpus_types),
+                texts=list(texts),
             )
-            diagnostics.loaded = [u.source for u in units]
         else:
-            registry = clone_registry(self.api_registry)
-            units = list(units_all)
-            corpus_types = resolve_program(registry, units)
-            report = check_program(registry, units) if self.check else None
-            if report is not None:
-                report.raise_if_failed()
-        program = CorpusProgram(
-            units=units,
-            registry=registry,
-            corpus_types=corpus_types,
-            check_report=report,
-            diagnostics=diagnostics,
-            texts=list(texts),
+            program = resolve_corpus(
+                self.api_registry, units_all, texts, check=self.check,
+                lenient=self.lenient, parse_faults=parse_faults,
+            )
+        registry, units, corpus_types = (
+            program.registry, program.units, program.corpus_types
         )
         timings.resolve_ms = _now_ms() - t0
 

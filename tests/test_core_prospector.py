@@ -172,6 +172,55 @@ class TestUpdateCorpus:
         live.update_corpus(removes=["handler.mj"])
         assert live._argument_examples() == []
 
+    def test_state_is_read_from_the_pipeline(self, small_registry):
+        from repro.corpus import load_corpus_texts
+
+        from .conftest import SMALL_CORPUS
+
+        live = Prospector(
+            small_registry,
+            load_corpus_texts(small_registry, [("handler.mj", SMALL_CORPUS)]),
+        )
+
+        def assert_single_owner():
+            pipeline = live.pipeline
+            assert live.graph is pipeline.graph
+            assert live.search.graph is pipeline.graph
+            assert live.corpus is pipeline.program
+            assert live.mining is pipeline.mining
+            assert live.mined_jungloids == pipeline.suffixes
+            assert live.verdicts is pipeline.verdicts
+
+        assert_single_owner()
+        assert live.mined_jungloids
+        graph = live.graph
+        live.update_corpus(upserts=[("extra.mj", "package p; class Extra {}")])
+        assert_single_owner()
+        assert live.graph is graph  # updates graft into the same graph
+        live.update_corpus(removes=["handler.mj"])
+        assert_single_owner()
+        assert live.mined_jungloids == ()
+
+    def test_empty_program_is_pipeline_backed(self, small_registry):
+        from repro.corpus import CorpusProgram
+
+        p = Prospector(small_registry, CorpusProgram())
+        assert p.pipeline is not None
+        assert p.mined_jungloids == ()
+        assert p.query("demo.io.InputStream", "demo.io.BufferedReader")
+
+    def test_program_without_texts_is_rejected(self, small_registry):
+        import pytest
+
+        from repro.corpus import load_corpus_texts
+
+        from .conftest import SMALL_CORPUS
+
+        program = load_corpus_texts(small_registry, [("handler.mj", SMALL_CORPUS)])
+        program.texts = []
+        with pytest.raises(ValueError):
+            Prospector(small_registry, program)
+
     def test_update_without_pipeline_raises(self, small_registry):
         import pytest
 

@@ -26,6 +26,9 @@ from repro.store import (
 
 from .conftest import SMALL_CORPUS
 
+#: Resolves, but fails the type check.
+ILL_TYPED = ("illtyped.mj", "package c; class T { void f() { int x = null; } }")
+
 
 class TestFingerprints:
     def test_deterministic_and_content_sensitive(self):
@@ -102,6 +105,14 @@ class TestFromArtifacts:
         # Config mismatch: cached examples may be stale, so re-mine all.
         assert reborn.last_stats.files_remined == ("handler.mj",)
 
+    def test_check_is_persisted_and_defaults_on(self, small_registry, small_pipeline):
+        data = json.loads(json.dumps(small_pipeline.to_stage_dict()))
+        assert data["check"] is True
+        data["check"] = False
+        assert CorpusPipeline.from_artifacts(small_registry, data).check is False
+        del data["check"]  # artifacts written before the key existed
+        assert CorpusPipeline.from_artifacts(small_registry, data).check is True
+
 
 class TestSidecar:
     def test_save_load_round_trip(self, tmp_path, small_pipeline):
@@ -150,6 +161,10 @@ class TestProspectorRestart:
 
         second = Prospector.from_snapshot(snap)
         assert second.pipeline is not None
+        self.assert_state_read_from_pipeline(second)
+        assert [j.steps for j in second.mined_jungloids] == [
+            j.steps for j in first.mined_jungloids
+        ]
         assert self.answers(second) == self.answers(first)
         # The restart can update incrementally: untouched files reuse
         # their persisted records.
@@ -157,7 +172,18 @@ class TestProspectorRestart:
             upserts=[("handler.mj", SMALL_CORPUS + "\n// touched\n")]
         )
         assert stats.files_remined == ("handler.mj",)
+        self.assert_state_read_from_pipeline(second)
         assert self.answers(second) == self.answers(first)
+
+    @staticmethod
+    def assert_state_read_from_pipeline(prospector):
+        pipeline = prospector.pipeline
+        assert prospector.graph is pipeline.graph
+        assert prospector.corpus is pipeline.program
+        assert prospector.mining is pipeline.mining
+        assert prospector.mined_jungloids == pipeline.suffixes
+        # A sidecar start serves the pipeline's verdicts, not the header's.
+        assert prospector.verdicts is pipeline.verdicts
 
     def test_damaged_sidecar_degrades_to_query_only(self, tmp_path, small_registry):
         corpus = load_corpus_texts(small_registry, [("handler.mj", SMALL_CORPUS)])
@@ -168,6 +194,79 @@ class TestProspectorRestart:
 
         second = Prospector.from_snapshot(snap)
         assert second.pipeline is None  # sidecar unusable, snapshot fine
+        assert second.corpus is None and second.mining is None
+        # A graph-only start serves the snapshot header's verdicts.
+        assert second.verdicts.to_dict() == first.verdicts.to_dict()
+        assert [j.steps for j in second.mined_jungloids] == [
+            j.steps for j in first.mined_jungloids
+        ]
         assert self.answers(second) == self.answers(first)
         with pytest.raises(RuntimeError):
             second.update_corpus(upserts=[("handler.mj", SMALL_CORPUS)])
+
+    @pytest.mark.parametrize("lenient", [True, False], ids=["lenient", "strict"])
+    def test_unchecked_load_stays_unchecked_after_restart(
+        self, tmp_path, small_registry, lenient
+    ):
+        texts = [("handler.mj", SMALL_CORPUS), ILL_TYPED]
+        corpus = load_corpus_texts(small_registry, texts, check=False, lenient=lenient)
+        first = Prospector(small_registry, corpus)
+        snap = tmp_path / "g.snap"
+        first.save_snapshot(snap)
+
+        second = Prospector.from_snapshot(snap)
+        # Re-checking on restart would quarantine the ill-typed file
+        # (lenient) or reject the sidecar outright (strict).
+        assert second.pipeline is not None
+        assert second.pipeline.check is False
+        assert [u.source for u in second.corpus.units] == ["handler.mj", "illtyped.mj"]
+        if lenient:
+            assert second.corpus_diagnostics.ok
+        assert second.pipeline.last_stats.files_remined == ()
+        stats = second.update_corpus(
+            upserts=[("handler.mj", SMALL_CORPUS + "\n// touched\n")]
+        )
+        assert stats.files_remined == ("handler.mj",)
+        assert self.answers(second) == self.answers(first)
+
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "graph-only"])
+    def test_snapshot_start_builds_the_graph_once(
+        self, tmp_path, small_registry, monkeypatch, sidecar
+    ):
+        from repro.graph import JungloidGraph
+
+        corpus = load_corpus_texts(small_registry, [("handler.mj", SMALL_CORPUS)])
+        first = Prospector(small_registry, corpus)
+        snap = tmp_path / "g.snap"
+        first.save_snapshot(snap)
+        if not sidecar:
+            stage_sidecar_path(snap).unlink()
+
+        build = JungloidGraph.build.__func__
+        builds = []
+
+        def counting_build(cls, *args, **kwargs):
+            builds.append(args)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(JungloidGraph, "build", classmethod(counting_build))
+        second = Prospector.from_snapshot(snap)
+        assert len(builds) == 1  # the load audit's graph is the live one
+        assert (second.pipeline is not None) == sidecar
+        assert self.answers(second) == self.answers(first)
+
+    def test_public_only_mismatch_builds_the_configured_graph(
+        self, tmp_path, small_registry
+    ):
+        from repro import ProspectorConfig
+        from repro.graph import graph_stats
+
+        config = ProspectorConfig(public_only=False)
+        corpus = load_corpus_texts(small_registry, [("handler.mj", SMALL_CORPUS)])
+        snap = tmp_path / "g.snap"
+        Prospector(small_registry, corpus).save_snapshot(snap)
+
+        second = Prospector.from_snapshot(snap, config=config)
+        fresh = Prospector(small_registry, corpus, config)
+        assert graph_stats(second.graph).rows() == graph_stats(fresh.graph).rows()
+        assert self.answers(second) == self.answers(fresh)

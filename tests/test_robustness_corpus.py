@@ -3,6 +3,7 @@ fault-isolated mining."""
 
 import pytest
 
+from repro import Prospector
 from repro.corpus import CorpusLoadError, load_corpus_files, load_corpus_texts
 from repro.minijava import MiniJavaError, MjTypeError
 from repro.mining import ExtractionConfig, JungloidExtractor, mine_corpus
@@ -167,6 +168,8 @@ class TestFileLoading:
         assert "absent.mj" in d.faults[0].source
         assert d.loaded == [good]
         assert program.class_count == 1
+        # The Prospector built over the program still reports the fault.
+        assert Prospector(small_registry, program).corpus_diagnostics.faults == d.faults
 
     def test_read_faults_precede_later_phase_faults(self, small_registry, tmp_path):
         bad = self._write(tmp_path, *BAD_PARSE)

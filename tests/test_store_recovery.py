@@ -211,6 +211,26 @@ class TestRepair:
         assert not verify_snapshot(saved_store).faults
         assert saved_store.previous_path.read_bytes() == prev_before
 
+    def test_repair_saves_the_audited_graph(
+        self, saved_store, small_prospector, monkeypatch
+    ):
+        from repro.graph import JungloidGraph
+
+        small_prospector.save_snapshot(saved_store.path)
+        corrupt_file(saved_store.path, lambda b: flip_byte(b, len(b) - 3))
+        build = JungloidGraph.build.__func__
+        builds = []
+
+        def counting_build(cls, *args, **kwargs):
+            builds.append(args)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(JungloidGraph, "build", classmethod(counting_build))
+        recovered = repair(saved_store)
+        assert recovered.rung_used == RUNG_PREVIOUS
+        assert recovered.graph is not None
+        assert len(builds) == 1  # the previous generation's audit, reused by save
+
     def test_repair_rebuilds_when_no_previous(self, saved_store, small_prospector):
         corrupt_file(saved_store.path, lambda b: truncate_bytes(b, 20))
         recovered = repair(saved_store, rebuild=_rebuild_from(small_prospector))

@@ -8,6 +8,7 @@ error reporting; ``//`` and ``/* */`` comments are skipped.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, List
@@ -89,52 +90,61 @@ def tokenize(text: str) -> List[Token]:
     return list(_tokens(text))
 
 
+#: One alternative per token class, tried in order at each position.
+#: A word starts with ``[^\W\d]`` (a word character but a decimal
+#: digit), which also admits non-letter numerics such as ``'²'`` and
+#: ``'½'``; ``_tokens`` turns those away, so identifiers start exactly
+#: at ``str.isalpha`` characters, ``_`` and ``$``.
+_TOKEN = re.compile(
+    r"""
+      (?P<space>[ \t\r\n]+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*.*?\*/)
+    | (?P<open_comment>/\*)
+    | (?P<word>(?:[^\W\d]|\$)[\w$]*)
+    | (?P<punct>[{}()\[\],;.])
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
 def _tokens(text: str) -> Iterator[Token]:
-    i = 0
-    line = 1
-    column = 1
+    match = _TOKEN.match
     n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "\n":
-            i += 1
-            line += 1
-            column = 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            end = text.find("*/", i + 2)
-            if end == -1:
-                raise ApiLexError("unterminated block comment", line, column)
-            skipped = text[i : end + 2]
-            newlines = skipped.count("\n")
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    eof_column = None
+    while pos < n:
+        column = pos - line_start + 1
+        m = match(text, pos)
+        if m is None:
+            raise ApiLexError(f"unexpected character {text[pos]!r}", line, column)
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "word":
+            word = m.group()
+            if word[0] > "\x7f" and not word[0].isalpha():
+                raise ApiLexError(f"unexpected character {word[0]!r}", line, column)
+            yield Token(
+                TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT,
+                word, line, column,
+            )
+        elif kind == "punct":
+            yield Token(_PUNCT[m.group()], m.group(), line, column)
+        elif kind == "open_comment":
+            raise ApiLexError("unterminated block comment", line, column)
+        elif kind == "line_comment":
+            if end == n:
+                # The end-of-file token after a trailing line comment sits
+                # at the comment's start.
+                eof_column = column
+        else:
+            newlines = text.count("\n", pos, end)
             if newlines:
                 line += newlines
-                column = len(skipped) - skipped.rfind("\n")
-            else:
-                column += len(skipped)
-            i = end + 2
-            continue
-        if ch.isalpha() or ch == "_" or ch == "$":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] in "_$"):
-                i += 1
-            word = text[start:i]
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            yield Token(kind, word, line, column)
-            column += i - start
-            continue
-        if ch in _PUNCT:
-            yield Token(_PUNCT[ch], ch, line, column)
-            i += 1
-            column += 1
-            continue
-        raise ApiLexError(f"unexpected character {ch!r}", line, column)
-    yield Token(TokenKind.EOF, "", line, column)
+                line_start = text.rindex("\n", pos, end) + 1
+        pos = end
+    if eof_column is None:
+        eof_column = pos - line_start + 1
+    yield Token(TokenKind.EOF, "", line, eof_column)

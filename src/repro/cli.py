@@ -370,24 +370,45 @@ def _cmd_index_update(args: argparse.Namespace) -> int:
         return rebuilt.registry, rebuilt.mined_jungloids
 
     prospector = Prospector.from_snapshot(args.path, rebuild=_rebuild)
-    if prospector.pipeline is None:
-        # No usable stage sidecar (old snapshot, or damaged): degrade to
-        # a full rebuild from the corpus, which recreates the pipeline —
-        # the update below then runs against it and the save writes a
-        # fresh sidecar, so the *next* update is incremental again.
+    try:
+        stats = prospector.update_corpus(upserts, args.remove)
+    except RuntimeError:
+        if prospector.pipeline is not None:
+            raise
+        # No usable stage sidecar (old snapshot, damaged, or texts that
+        # no longer replay): degrade to a full rebuild from the corpus,
+        # which recreates the pipeline — the save below then writes a
+        # fresh sidecar, so the *next* update is incremental again. The
+        # rebuild reads --api/--corpus (default: the bundled data), so it
+        # must declare every type the snapshot does.
+        rebuilt = _build_prospector_from_data(args)
+        missing = sorted(
+            t.name.dotted
+            for t in prospector.registry.all_types()
+            if not rebuilt.registry.is_declared(t)
+        )
+        if missing:
+            print(
+                f"error: no stage sidecar for {args.path}, and a rebuild from"
+                f" {'the given --api' if args.api else 'the bundled stubs'}"
+                f" lacks {len(missing)} of its types (e.g. {missing[0]});"
+                " pass the --api/--corpus files it was built from",
+                file=sys.stderr,
+            )
+            return EXIT_INPUT_ERROR
+        if rebuilt.pipeline is None:
+            print(
+                "error: no corpus available to update (ran with --no-corpus?)",
+                file=sys.stderr,
+            )
+            return EXIT_INPUT_ERROR
         print(
             f"note: no stage sidecar for {args.path};"
             " rebuilding from corpus (next update will be incremental)",
             file=sys.stderr,
         )
-        prospector = _build_prospector_from_data(args)
-    if prospector.pipeline is None:
-        print(
-            "error: no corpus available to update (ran with --no-corpus?)",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
-    stats = prospector.update_corpus(upserts, args.remove)
+        prospector = rebuilt
+        stats = prospector.update_corpus(upserts, args.remove)
     t = stats.timings
     if stats.noop:
         print(f"{args.path}: no content changes (all fingerprints match)")

@@ -48,6 +48,12 @@ from .query import Query, TypeSpec, resolve_type_spec
 from .results import Synthesis
 
 
+_NO_PIPELINE = (
+    "update_corpus needs the incremental pipeline; this instance "
+    "was built without corpus texts or a usable stage sidecar"
+)
+
+
 @dataclass(frozen=True)
 class ProspectorConfig:
     """Top-level knobs; the defaults replicate the paper's tool."""
@@ -101,9 +107,10 @@ class Prospector:
             graph = JungloidGraph.build(registry, (), public_only=config.public_only)
         self._graph = graph
         #: Cast-verdict index: the pipeline's, or None until a snapshot
-        #: start adopts its header's via :meth:`set_verdicts`.
+        #: start adopts its header's via :meth:`set_verdicts` (a deferred
+        #: pipeline has none before its replay).
         self.verdicts: Optional[CastVerdictIndex] = (
-            pipeline.verdicts if pipeline is not None else None
+            pipeline.verdicts if pipeline is not None and not pipeline.deferred else None
         )
         self._fallback_verdicts: Optional[CastVerdictIndex] = None
         self._argument_examples_cache: Optional[List[ArgumentExample]] = None
@@ -125,19 +132,40 @@ class Prospector:
 
     @property
     def corpus(self) -> Optional[CorpusProgram]:
-        return self.pipeline.program if self.pipeline is not None else None
+        pipeline = self._replayed()
+        return pipeline.program if pipeline is not None else None
 
     @property
     def mining(self) -> Optional[MiningResult]:
-        return self.pipeline.mining if self.pipeline is not None else None
+        pipeline = self._replayed()
+        return pipeline.mining if pipeline is not None else None
 
     @property
     def mined_jungloids(self) -> Tuple[Jungloid, ...]:
         """The mined jungloids the graph was spliced with — what a
         snapshot persists alongside the registry."""
-        if self.pipeline is not None:
-            return self.pipeline.suffixes
+        pipeline = self._replayed()
+        if pipeline is not None:
+            return pipeline.suffixes
         return tuple(Jungloid(key) for key in self._graph.mined_suffix_keys())
+
+    def _replayed(self) -> Optional[CorpusPipeline]:
+        """The pipeline, with a snapshot start's deferred replay done.
+
+        A sidecar whose texts no longer replay (a strict corpus that
+        stopped parsing, say) leaves a graph-only instance, as a sidecar
+        that fails to load does; a replay that succeeds swaps in the
+        pipeline's verdicts for the snapshot header's.
+        """
+        pipeline = self.pipeline
+        if pipeline is not None and pipeline.deferred:
+            try:
+                pipeline.replay()
+            except Exception:
+                self._graph, self.pipeline = pipeline.graph, None
+                return None
+            self.set_verdicts(pipeline.verdicts)
+        return pipeline
 
     # ------------------------------------------------------------------
     # Construction conveniences
@@ -181,13 +209,16 @@ class Prospector:
         fails. The graph the load audit built is reused when its
         ``public_only`` matches the config's.
 
-        When a stage sidecar sits next to the snapshot, the incremental
-        pipeline is rehydrated from it over that graph, so
-        :meth:`update_corpus` stays incremental across restarts. A
-        missing or damaged sidecar silently degrades to a graph-only
-        instance carrying the snapshot's verdicts (updates then rebuild
-        from scratch) — the sidecar is an accelerator, never a
-        correctness dependency.
+        When a stage sidecar sits next to the snapshot, a deferred
+        pipeline is made from it over that graph, so
+        :meth:`update_corpus` stays incremental across restarts. The
+        start parses nothing: queries are served from the snapshot's
+        graph and header verdicts until the first update or read of
+        :attr:`corpus`/:attr:`mining` replays the sidecar. A missing or
+        damaged sidecar, or one whose texts no longer replay, degrades
+        to a graph-only instance carrying the snapshot's verdicts
+        (updates then rebuild from scratch) — the sidecar is an
+        accelerator, never a correctness dependency.
         """
         store = SnapshotStore(path)
         recovered: RecoveredStore = load_with_recovery(
@@ -223,13 +254,15 @@ class Prospector:
             store_diagnostics=recovered.diagnostics,
             pipeline=pipeline,
         )
-        if pipeline is None and recovered.analysis is not None:
+        if recovered.analysis is not None:
             try:
                 prospector.set_verdicts(
                     CastVerdictIndex.from_dict(recovered.registry, recovered.analysis)
                 )
             except Exception:
                 pass  # malformed header analysis: stay verdict-less
+        if prospector.verdicts is None:
+            prospector._replayed()  # no header verdicts: serve the pipeline's
         return prospector
 
     def save_snapshot(self, path: os.PathLike, rotate: bool = True) -> SnapshotManifest:
@@ -273,16 +306,22 @@ class Prospector:
         Requires the instance to have been built from corpus texts (or a
         stage sidecar); raises :class:`RuntimeError` otherwise.
         """
-        if self.pipeline is None:
-            raise RuntimeError(
-                "update_corpus needs the incremental pipeline; this instance "
-                "was built without corpus texts or a usable stage sidecar"
-            )
-        stats = self.pipeline.update(upserts, removes)
+        pipeline = self.pipeline
+        if pipeline is None:
+            raise RuntimeError(_NO_PIPELINE)
+        try:
+            stats = pipeline.update(upserts, removes)
+        except Exception:
+            # A deferred start's first sync failed. If the sidecar's own
+            # texts do not replay either, there never was a usable
+            # pipeline; otherwise the edit is at fault and its error stands.
+            if pipeline.deferred and self._replayed() is None:
+                raise RuntimeError(_NO_PIPELINE) from None
+            raise
         # The pipeline grafts into the same graph object; swap in its
         # verdicts (the engine re-derives its per-edge rank parts, which
         # embed the previous index's demotion buckets).
-        self.set_verdicts(self.pipeline.verdicts)
+        self.set_verdicts(pipeline.verdicts)
         self._argument_examples_cache = None
         return stats
 

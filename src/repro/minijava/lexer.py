@@ -8,6 +8,7 @@ literals are supported because corpus code passes them as arguments.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, List
@@ -111,90 +112,91 @@ def tokenize(text: str) -> List[MjToken]:
     return list(_tokens(text))
 
 
+#: One alternative per token class, tried in order at each position.
+#: A word starts with ``[^\W\d]`` (a word character but a decimal
+#: digit), which also admits non-letter numerics such as ``'²'`` and
+#: ``'½'``; ``_tokens`` lexes the digits among those as int literals and
+#: rejects the rest, so identifiers start exactly at ``str.isalpha``
+#: characters, ``_`` and ``$``, and int literals at ``str.isdigit`` ones.
+_TOKEN = re.compile(
+    r"""
+      (?P<space>[ \t\r\n]+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*.*?\*/)
+    | (?P<open_comment>/\*)
+    | (?P<word>(?:[^\W\d]|\$)[\w$]*)
+    | (?P<int>\d)
+    | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
+    | (?P<open_string>")
+    | (?P<char>'(?:\\.|[^\\])')
+    | (?P<open_char>')
+    | (?P<punct>"""
+    + "|".join(re.escape(p) for p in _PUNCTUATION)
+    + """)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+#: Token classes whose text may span lines.
+_MULTILINE = frozenset({"space", "block_comment", "string", "char"})
+#: The rest of an int literal after its first character.
+_INT_TAIL = re.compile(r"[\dxXabcdefABCDEFlL]*")
+
+
+def _int_end(text: str, pos: int) -> int:
+    """End of the int literal continuing at ``pos``: digits (any
+    ``str.isdigit`` character, e.g. ``'²'``) and hex/long letters."""
+    end = _INT_TAIL.match(text, pos).end()
+    while end < len(text) and text[end].isdigit():
+        end = _INT_TAIL.match(text, end + 1).end()
+    return end
+
+
 def _tokens(text: str) -> Iterator[MjToken]:
-    i = 0
-    line = 1
-    column = 1
+    match = _TOKEN.match
     n = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, column
-        for _ in range(count):
-            if text[i] == "\n":
-                line += 1
-                column = 1
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    while pos < n:
+        column = pos - line_start + 1
+        m = match(text, pos)
+        if m is None:
+            raise MjLexError(f"unexpected character {text[pos]!r}", line, column)
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "word":
+            word = m.group()
+            first = word[0]
+            if first > "\x7f" and not first.isalpha():
+                if not first.isdigit():
+                    raise MjLexError(f"unexpected character {first!r}", line, column)
+                end = _int_end(text, pos + 1)
+                yield MjToken(MjTokenKind.INT_LIT, text[pos:end], line, column)
             else:
-                column += 1
-            i += 1
+                yield MjToken(
+                    MjTokenKind.KEYWORD if word in KEYWORDS else MjTokenKind.IDENT,
+                    word, line, column,
+                )
+        elif kind == "punct":
+            yield MjToken(MjTokenKind.PUNCT, m.group(), line, column)
+        elif kind == "int":
+            end = _int_end(text, end)
+            yield MjToken(MjTokenKind.INT_LIT, text[pos:end], line, column)
+        elif kind == "string":
+            yield MjToken(MjTokenKind.STRING_LIT, text[pos + 1 : end - 1], line, column)
+        elif kind == "char":
+            yield MjToken(MjTokenKind.CHAR_LIT, text[pos + 1 : end - 1], line, column)
+        elif kind == "open_comment":
+            raise MjLexError("unterminated block comment", line, column)
+        elif kind == "open_string":
+            raise MjLexError("unterminated string literal", line, column)
+        elif kind == "open_char":
+            raise MjLexError("unterminated char literal", line, column)
+        if kind in _MULTILINE:
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, end) + 1
+        pos = end
+    yield MjToken(MjTokenKind.EOF, "", line, pos - line_start + 1)
 
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            end = text.find("*/", i + 2)
-            if end == -1:
-                raise MjLexError("unterminated block comment", line, column)
-            advance(end + 2 - i)
-            continue
-        if ch.isalpha() or ch in "_$":
-            start_line, start_col = line, column
-            start = i
-            while i < n and (text[i].isalnum() or text[i] in "_$"):
-                advance(1)
-            word = text[start:i]
-            kind = MjTokenKind.KEYWORD if word in KEYWORDS else MjTokenKind.IDENT
-            yield MjToken(kind, word, start_line, start_col)
-            continue
-        if ch.isdigit():
-            start_line, start_col = line, column
-            start = i
-            while i < n and (text[i].isdigit() or text[i] in "xXabcdefABCDEFlL"):
-                advance(1)
-            yield MjToken(MjTokenKind.INT_LIT, text[start:i], start_line, start_col)
-            continue
-        if ch == '"':
-            start_line, start_col = line, column
-            j = i + 1
-            value = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    value.append(text[j : j + 2])
-                    j += 2
-                else:
-                    value.append(text[j])
-                    j += 1
-            if j >= n:
-                raise MjLexError("unterminated string literal", start_line, start_col)
-            advance(j + 1 - i)
-            yield MjToken(MjTokenKind.STRING_LIT, "".join(value), start_line, start_col)
-            continue
-        if ch == "'":
-            start_line, start_col = line, column
-            j = i + 1
-            if j < n and text[j] == "\\":
-                j += 2
-            else:
-                j += 1
-            if j >= n or text[j] != "'":
-                raise MjLexError("unterminated char literal", start_line, start_col)
-            value = text[i + 1 : j]
-            advance(j + 1 - i)
-            yield MjToken(MjTokenKind.CHAR_LIT, value, start_line, start_col)
-            continue
-        matched = False
-        for punct in _PUNCTUATION:
-            if text.startswith(punct, i):
-                yield MjToken(MjTokenKind.PUNCT, punct, line, column)
-                advance(len(punct))
-                matched = True
-                break
-        if matched:
-            continue
-        raise MjLexError(f"unexpected character {ch!r}", line, column)
-    yield MjToken(MjTokenKind.EOF, "", line, column)

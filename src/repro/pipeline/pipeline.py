@@ -3,9 +3,13 @@
 :class:`CorpusPipeline` is the one thing that turns a corpus into a
 :class:`~repro.graph.JungloidGraph`: every corpus-backed
 :class:`~repro.core.Prospector` owns one, whether built from a loaded
-program (:meth:`CorpusPipeline.from_program`) or rehydrated over a
-snapshot's graph (:meth:`CorpusPipeline.from_artifacts`). The build runs
-as explicit stages with cached, fingerprinted artifacts:
+program (:meth:`CorpusPipeline.from_program`) or made from a snapshot's
+stage artifacts over its graph (:meth:`CorpusPipeline.from_artifacts`).
+The latter is *deferred*: a snapshot start parses nothing, and the
+stages below run once, on the first update or the first read of a sync
+output (:attr:`~CorpusPipeline.program`, ``mining``, ``verdicts``, ...),
+so an update after a start parses and resolves the corpus once. The
+build runs as explicit stages with cached, fingerprinted artifacts:
 
 1. **fingerprint** — SHA-256 every corpus file; diff against the last
    sync. Identical content means identical downstream artifacts.
@@ -261,6 +265,23 @@ class PipelineUpdateStats:
 _ParseEntry = Tuple[str, Optional[CompilationUnit], Optional[Exception]]
 
 
+class _SyncOutput:
+    """An attribute :meth:`CorpusPipeline.sync` commits; reading it on a
+    deferred pipeline runs the replay first."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, pipeline, owner=None):
+        if pipeline is None:
+            return self
+        pipeline.replay()
+        return getattr(pipeline, self.slot)
+
+    def __set__(self, pipeline, value) -> None:
+        setattr(pipeline, self.slot, value)
+
+
 class CorpusPipeline:
     """Staged corpus → graph build with incremental re-sync.
 
@@ -269,6 +290,12 @@ class CorpusPipeline:
     engines observe deltas through the graph's revision counter) and the
     current :class:`~repro.corpus.CorpusProgram` / mining artifacts.
     """
+
+    program = _SyncOutput()
+    call_graph = _SyncOutput()
+    mining = _SyncOutput()
+    verdicts = _SyncOutput()
+    last_stats = _SyncOutput()
 
     def __init__(
         self,
@@ -295,6 +322,11 @@ class CorpusPipeline:
         self._generalizer = IncrementalGeneralizer(self.min_precast_steps)
         #: Per-file cast observations; invalidated with files_remined.
         self._analysis_obs: Dict[str, Tuple[CastObservation, ...]] = {}
+
+        #: True from :meth:`from_artifacts` until the first sync: the
+        #: texts, fingerprints and pending records are recorded, nothing
+        #: is parsed, and :attr:`graph` is the adopted snapshot graph.
+        self.deferred = False
 
         self.program: Optional[CorpusProgram] = None
         self.call_graph: Optional[CallGraph] = None
@@ -364,18 +396,23 @@ class CorpusPipeline:
         extraction: Optional[ExtractionConfig] = None,
         public_only: bool = True,
     ) -> "CorpusPipeline":
-        """Rebuild a pipeline from persisted stage artifacts.
+        """Rebuild a pipeline from persisted stage artifacts, deferred.
 
         ``graph`` (typically from a snapshot load) is adopted as the
-        live graph; the initial sync then applies a suffix delta against
-        it — empty when the artifacts and snapshot agree, corrective
-        when they drifted. Cached mined examples are revalidated against
-        their recorded dependency fingerprints before reuse, so a
-        tampered or stale sidecar degrades to re-mining, never to wrong
-        answers. Passing ``extraction`` different from the persisted
-        config discards the cached examples (they were mined under other
-        budgets). The load discipline (``lenient``, ``check``) is the
-        persisted one; artifacts that predate a key read its default.
+        live graph. Nothing is parsed here: the texts, their
+        fingerprints and the cached records are recorded, and the
+        pipeline stays :attr:`deferred` until its first sync — the next
+        :meth:`update`/:meth:`sync`, or the first read of a sync output
+        such as :attr:`program`. That sync applies a suffix delta
+        against the adopted graph: empty when the artifacts and
+        snapshot agree, corrective when they drifted.
+        Cached mined examples are revalidated against their recorded
+        dependency fingerprints before reuse, so a tampered or stale
+        sidecar degrades to re-mining, never to wrong answers. Passing
+        ``extraction`` different from the persisted config discards the
+        cached examples (they were mined under other budgets). The load
+        discipline (``lenient``, ``check``) is the persisted one;
+        artifacts that predate a key read its default.
         """
         data = check_stage_dict(data)
         try:
@@ -400,9 +437,16 @@ class CorpusPipeline:
             pipeline._suffix_map = {
                 key: Jungloid(key) for key in graph.mined_suffix_keys()
             }
-        texts = [(str(s), t) for s, t in data["texts"]]
-        pipeline.sync(texts)
+        pipeline._texts = [(str(s), t) for s, t in data["texts"]]
+        pipeline._fingerprints = fingerprint_texts(pipeline._texts)
+        pipeline.deferred = True
         return pipeline
+
+    def replay(self) -> None:
+        """Run a deferred pipeline's first sync over its recorded texts
+        (a no-op once synced). On failure it stays deferred."""
+        if self.deferred:
+            self.sync(self._texts)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -418,10 +462,12 @@ class CorpusPipeline:
 
     @property
     def records(self) -> Dict[str, FileMineRecord]:
+        self.replay()
         return dict(self._records)
 
     def to_stage_dict(self) -> dict:
         """The persistable stage artifacts (see :mod:`.artifacts`)."""
+        self.replay()
         return stages_to_dict(
             self._texts,
             self._records,
@@ -494,12 +540,14 @@ class CorpusPipeline:
         stats.files_added = diff.added
         stats.files_changed = diff.changed
         stats.files_removed = diff.removed
-        if (
+        stats.noop = (
             diff.is_empty
             and self.graph is not None
             and [s for s, _ in texts] == [s for s, _ in self._texts]
-        ):
-            stats.noop = True
+        )
+        # A deferred pipeline's replay of its own texts changes nothing
+        # either, but it runs the stages below once.
+        if stats.noop and not self.deferred:
             stats.files_reused = len(self._records)
             stats.examples_total = len(self.mining.examples) if self.mining else 0
             stats.suffixes_total = len(self._suffix_map)
@@ -669,6 +717,7 @@ class CorpusPipeline:
         timings.graft_ms = _now_ms() - t0
 
         # -- Commit ------------------------------------------------------
+        self.deferred = False
         self._texts = texts
         self._fingerprints = new_fps
         self._parse_cache = new_parse

@@ -108,6 +108,81 @@ class TestIndexRepair:
         assert main(["index", "verify", str(snap)]) == 0
 
 
+class TestIndexUpdate:
+    def test_sidecar_update_remines_one_file(self, tmp_path, data_files, capsys):
+        api, corpus = data_files
+        snap = _build(tmp_path, api, corpus)
+        edited = tmp_path / "edited.mj"
+        edited.write_text(MINI_CORPUS + "// touched\n")
+        capsys.readouterr()
+        code = main(["index", "update", str(snap), "--set", f"{corpus}={edited}"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "~1 changed" in captured.out
+        assert "re-mined 1 file(s), reused 0" in captured.out
+        assert captured.err == ""  # the sidecar was used: no rebuild note
+        assert main(["index", "verify", str(snap)]) == 0
+
+    def test_no_sidecar_refuses_a_rebuild_from_other_data(
+        self, tmp_path, data_files, capsys
+    ):
+        # Built from a 4-type --api; without the sidecar and without
+        # --api/--corpus, a rebuild would read the bundled stubs and
+        # overwrite the snapshot with a graph lacking z.A and z.B.
+        api, corpus = data_files
+        snap = _build(tmp_path, api, corpus)
+        snap.with_name(snap.name + ".stages").unlink()
+        empty = tmp_path / "empty.mj"
+        empty.write_text("package e; class E {}\n")
+        before = snap.read_bytes()
+        capsys.readouterr()
+        code = main(["index", "update", str(snap), "--set", str(empty)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--api/--corpus" in captured.err
+        assert snap.read_bytes() == before
+
+    def test_no_sidecar_rebuilds_from_the_data_it_was_built_from(
+        self, tmp_path, data_files, capsys
+    ):
+        api, corpus = data_files
+        snap = _build(tmp_path, api, corpus)
+        snap.with_name(snap.name + ".stages").unlink()
+        empty = tmp_path / "empty.mj"
+        empty.write_text("package e; class E {}\n")
+        capsys.readouterr()
+        code = main(
+            ["index", "update", str(snap), "--set", str(empty),
+             "--api", str(api), "--corpus", str(corpus)]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "rebuilding from corpus" in captured.err
+        assert "+1 added" in captured.out
+        assert snap.with_name(snap.name + ".stages").exists()
+        capsys.readouterr()
+        assert main(["query", "z.A", "z.B", "--snapshot", str(snap)]) == 0
+        assert "(z.B) x.get()" in capsys.readouterr().out
+
+    def test_bundled_snapshot_without_sidecar_still_rebuilds(self, tmp_path, capsys):
+        from repro.data import corpus_texts
+
+        snap = tmp_path / "graph.psnap"
+        assert main(["index", "build", "-o", str(snap)]) == 0
+        snap.with_name(snap.name + ".stages").unlink()
+        touched = tmp_path / "touched.mj"
+        touched.write_text(dict(corpus_texts())["ant_targets.mj"] + "\n// touched\n")
+        capsys.readouterr()
+        code = main(
+            ["index", "update", str(snap), "--set", f"ant_targets.mj={touched}"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "rebuilding from corpus" in captured.err
+        assert "re-mined 1 file(s)" in captured.out
+        assert snap.with_name(snap.name + ".stages").exists()
+
+
 class TestQuerySnapshot:
     def test_fast_start_answers(self, tmp_path, data_files, capsys):
         api, corpus = data_files

@@ -160,19 +160,28 @@ class TestProspectorRestart:
         assert stage_sidecar_path(snap).exists()
 
         second = Prospector.from_snapshot(snap)
-        assert second.pipeline is not None
-        self.assert_state_read_from_pipeline(second)
-        assert [j.steps for j in second.mined_jungloids] == [
-            j.steps for j in first.mined_jungloids
-        ]
+        assert second.pipeline is not None and second.pipeline.deferred
+        assert second.graph is second.pipeline.graph
+        # Until its first update a sidecar start serves the snapshot
+        # header's verdicts; answering queries replays nothing.
+        header_verdicts = second.verdicts
+        assert header_verdicts.to_dict() == first.verdicts.to_dict()
         assert self.answers(second) == self.answers(first)
+        assert second.pipeline.deferred
         # The restart can update incrementally: untouched files reuse
         # their persisted records.
         stats = second.update_corpus(
             upserts=[("handler.mj", SMALL_CORPUS + "\n// touched\n")]
         )
         assert stats.files_remined == ("handler.mj",)
+        assert not second.pipeline.deferred
         self.assert_state_read_from_pipeline(second)
+        # After it, the pipeline's verdicts, equal to the header's here.
+        assert second.verdicts is second.pipeline.verdicts
+        assert second.verdicts.to_dict() == header_verdicts.to_dict()
+        assert [j.steps for j in second.mined_jungloids] == [
+            j.steps for j in first.mined_jungloids
+        ]
         assert self.answers(second) == self.answers(first)
 
     @staticmethod
@@ -182,8 +191,6 @@ class TestProspectorRestart:
         assert prospector.corpus is pipeline.program
         assert prospector.mining is pipeline.mining
         assert prospector.mined_jungloids == pipeline.suffixes
-        # A sidecar start serves the pipeline's verdicts, not the header's.
-        assert prospector.verdicts is pipeline.verdicts
 
     def test_damaged_sidecar_degrades_to_query_only(self, tmp_path, small_registry):
         corpus = load_corpus_texts(small_registry, [("handler.mj", SMALL_CORPUS)])
@@ -270,3 +277,198 @@ class TestProspectorRestart:
         fresh = Prospector(small_registry, corpus, config)
         assert graph_stats(second.graph).rows() == graph_stats(fresh.graph).rows()
         assert self.answers(second) == self.answers(fresh)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` (the binding its callers look up)."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+#: A second file for two-file corpora: it mines one more cast.
+OTHER_FILE = (
+    "other.mj",
+    "package c; import demo.ui.Viewer; import demo.ui.Item;\n"
+    "import demo.ui.IStructuredSelection;\n"
+    "class O { IStructuredSelection f(Viewer v) {"
+    " return (IStructuredSelection) v.getSelection(); } }\n",
+)
+#: OTHER_FILE edited to mine one cast more.
+OTHER_EDITED = (
+    "other.mj",
+    OTHER_FILE[1][:-2] + " Item g(Viewer v) { return (Item) v.getInput(); } }\n",
+)
+#: Queries whose answers use the mined casts of both files.
+TWO_FILE_QUERIES = [
+    ("demo.ui.Panel", "demo.ui.Item"),
+    ("demo.ui.Viewer", "demo.ui.IStructuredSelection"),
+    ("demo.ui.Viewer", "demo.ui.Item"),
+]
+
+
+class TestDeferredStart:
+    """A sidecar start records the stage artifacts and parses nothing;
+    the first update or corpus read replays them, exactly once."""
+
+    def test_queries_replay_nothing(self, tmp_path, monkeypatch, standard_prospector):
+        from repro.eval import TABLE1_PROBLEMS
+        from repro.pipeline import pipeline as pipeline_module
+
+        snap = tmp_path / "g.snap"
+        standard_prospector.save_snapshot(snap)
+        parses = _count_calls(monkeypatch, pipeline_module, "parse_minijava")
+
+        def answers(prospector):
+            return [
+                [(r.inline("x"), r.verdict) for r in prospector.query(p.t_in, p.t_out)]
+                for p in TABLE1_PROBLEMS
+            ]
+
+        started = Prospector.from_snapshot(snap)
+        assert answers(started) == answers(standard_prospector)
+        assert parses == []
+        assert started.pipeline.deferred
+
+    @pytest.mark.parametrize("attr", ["program", "mining", "verdicts"])
+    def test_first_read_replays_like_an_eager_build(
+        self, small_registry, monkeypatch, attr
+    ):
+        from repro.pipeline import pipeline as pipeline_module
+
+        texts = [("handler.mj", SMALL_CORPUS), OTHER_FILE]
+        eager = CorpusPipeline.build(small_registry, texts)
+        data = json.loads(json.dumps(eager.to_stage_dict()))
+        parses = _count_calls(monkeypatch, pipeline_module, "parse_minijava")
+        deferred = CorpusPipeline.from_artifacts(small_registry, data)
+        assert deferred.deferred and parses == []
+
+        assert getattr(deferred, attr) is not None
+        assert not deferred.deferred
+        assert len(parses) == 2  # each file once
+        assert {s: r.to_dict() for s, r in deferred.records.items()} == {
+            s: r.to_dict() for s, r in eager.records.items()
+        }
+        assert [j.steps for j in deferred.suffixes] == [j.steps for j in eager.suffixes]
+        assert deferred.verdicts.to_dict() == eager.verdicts.to_dict()
+        assert deferred.last_stats.files_remined == ()
+        assert len(parses) == 2  # later reads do not replay again
+
+    def test_update_after_start_equals_a_fresh_build(
+        self, tmp_path, small_registry, monkeypatch
+    ):
+        from repro.pipeline import pipeline as pipeline_module
+
+        texts = [("handler.mj", SMALL_CORPUS), OTHER_FILE]
+        snap = tmp_path / "g.snap"
+        Prospector(small_registry, load_corpus_texts(small_registry, texts)).save_snapshot(
+            snap
+        )
+        parses = _count_calls(monkeypatch, pipeline_module, "parse_minijava")
+        resolves = _count_calls(monkeypatch, pipeline_module, "resolve_corpus")
+        started = Prospector.from_snapshot(snap)
+        stats = started.update_corpus(upserts=[OTHER_EDITED])
+        # One pass over the edited corpus: no separate replay first.
+        assert len(parses) == 2 and len(resolves) == 1
+        assert stats.files_changed == ("other.mj",)
+        assert stats.files_added == () and stats.files_removed == ()
+        assert stats.files_remined == ("other.mj",)
+
+        assert stats.suffixes_added == 1
+        new_texts = [texts[0], OTHER_EDITED]
+        fresh = Prospector(small_registry, load_corpus_texts(small_registry, new_texts))
+        assert started.verdicts.to_dict() == fresh.verdicts.to_dict()
+        assert [j.steps for j in started.mined_jungloids] == [
+            j.steps for j in fresh.mined_jungloids
+        ]
+        for a, b in TWO_FILE_QUERIES:
+            assert [(s.inline("x"), s.verdict) for s in started.query(a, b)] == [
+                (s.inline("x"), s.verdict) for s in fresh.query(a, b)
+            ]
+
+    def test_noop_update_after_start_reports_noop(self, tmp_path, small_registry):
+        corpus = load_corpus_texts(small_registry, [("handler.mj", SMALL_CORPUS)])
+        snap = tmp_path / "g.snap"
+        Prospector(small_registry, corpus).save_snapshot(snap)
+        started = Prospector.from_snapshot(snap)
+        revision = started.graph.revision
+        stats = started.update_corpus(upserts=[("handler.mj", SMALL_CORPUS)])
+        assert stats.noop and stats.files_remined == ()
+        assert started.graph.revision == revision
+        assert not started.pipeline.deferred
+
+    def test_start_without_header_verdicts_replays_for_them(
+        self, tmp_path, small_registry
+    ):
+        # The rebuild rung of the recovery ladder carries no header
+        # verdicts; the intact sidecar supplies them.
+        corpus = load_corpus_texts(small_registry, [("handler.mj", SMALL_CORPUS)])
+        first = Prospector(small_registry, corpus)
+        snap = tmp_path / "g.snap"
+        first.save_snapshot(snap)
+        snap.write_bytes(b"torn")
+        started = Prospector.from_snapshot(
+            snap, rebuild=lambda: (small_registry, first.mined_jungloids)
+        )
+        assert started.store_diagnostics.degraded
+        assert not started.pipeline.deferred
+        assert started.verdicts is started.pipeline.verdicts
+        assert started.verdicts.to_dict() == first.verdicts.to_dict()
+
+    def _strict_snapshot(self, tmp_path, small_registry, broken):
+        """A strict two-file snapshot; ``broken`` rewrites the sidecar's
+        stored handler.mj (checksum kept valid) so it no longer parses."""
+        from repro.store import load_stage_sidecar
+
+        texts = [("handler.mj", SMALL_CORPUS), OTHER_FILE]
+        corpus = load_corpus_texts(small_registry, texts, lenient=False)
+        first = Prospector(small_registry, corpus)
+        snap = tmp_path / "g.snap"
+        first.save_snapshot(snap)
+        if broken:
+            data = load_stage_sidecar(snap)
+            assert data["lenient"] is False
+            data["texts"][0][1] = "class {"
+            save_stage_sidecar(snap, data)
+        return first, snap
+
+    def test_replay_failure_leaves_update_raising_runtime_error(
+        self, tmp_path, small_registry
+    ):
+        first, snap = self._strict_snapshot(tmp_path, small_registry, broken=True)
+        started = Prospector.from_snapshot(snap)
+        assert started.pipeline is not None  # nothing parsed yet
+        assert self.answers(started) == self.answers(first)
+        with pytest.raises(RuntimeError, match="usable stage sidecar"):
+            started.update_corpus(upserts=[OTHER_EDITED])
+        # Now graph-only, like a start whose sidecar failed to load.
+        assert started.pipeline is None and started.corpus is None
+        assert self.answers(started) == self.answers(first)
+        with pytest.raises(RuntimeError, match="usable stage sidecar"):
+            started.update_corpus(upserts=[OTHER_EDITED])
+
+    def test_bad_edit_after_start_raises_its_own_error(self, tmp_path, small_registry):
+        from repro.minijava import MiniJavaError
+
+        first, snap = self._strict_snapshot(tmp_path, small_registry, broken=False)
+        started = Prospector.from_snapshot(snap)
+        with pytest.raises(MiniJavaError):
+            started.update_corpus(upserts=[("other.mj", "class {")])
+        # The sidecar replayed: the instance stays updatable.
+        assert started.pipeline is not None and not started.pipeline.deferred
+        stats = started.update_corpus(upserts=[("other.mj", OTHER_FILE[1] + "//\n")])
+        assert stats.files_remined == ("other.mj",)
+        assert self.answers(started) == self.answers(first)
+        assert all(self.answers(first))
+
+    @staticmethod
+    def answers(prospector):
+        return [
+            [s.inline("x") for s in prospector.query(a, b)] for a, b in TWO_FILE_QUERIES
+        ]
